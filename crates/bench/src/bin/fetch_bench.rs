@@ -1,12 +1,12 @@
 //! `fetch_bench` — benchmarks of the fetch layer (sharded response
-//! cache, request coalescing, speculative chunk prefetch), emitting the
+//! cache, request coalescing), emitting the
 //! `results/BENCH_fetch.json` baseline that seeds the perf trajectory.
 //!
 //! Usage:
 //!   cargo run --release -p seco-bench --bin fetch_bench            # full
 //!   cargo run --release -p seco-bench --bin fetch_bench -- --smoke # CI
 //!
-//! Four benchmarks:
+//! Three benchmarks:
 //!
 //! * **call-reduction** — the e21-style faulted chain workload, with
 //!   and without the sharded cache: underlying service calls must drop
@@ -14,17 +14,14 @@
 //! * **shard-contention** — 8 threads hammering a hot cache at 1 shard
 //!   vs 8 shards: wall time per hit under contention;
 //! * **coalescing** — 8 threads racing one cold key on a slow service:
-//!   exactly one underlying call reaches the service;
-//! * **prefetch** — the deterministic executor with speculation on and
-//!   off: byte-identical results, counters recorded; plus a pipelined
-//!   8-service run exercising the batched output path.
+//!   exactly one underlying call reaches the service.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use seco_bench::{chain_scenario, chain_scenario_with_faults, link_service};
-use seco_engine::{execute_parallel, execute_plan, EngineConfig, FailureMode, FetchOptions};
+use seco_bench::{chain_scenario_with_faults, link_service};
+use seco_engine::{execute_plan, EngineConfig, FailureMode, FetchOptions};
 use seco_model::{AttributePath, ScoreDecay, ServiceInterface, Value};
 use seco_optimizer::{optimize, CostMetric};
 use seco_services::cache::CachingService;
@@ -224,84 +221,9 @@ fn bench_coalescing() -> Result<serde_json::Value, DynError> {
     }))
 }
 
-/// Prefetch on/off under the deterministic executor (byte-identical
-/// answers) and a pipelined 8-service run over the batched channels.
-/// Bumps service nodes' chunk budgets (all atoms, or just `atom`): the
-/// request-count optimizer budgets a single chunk per call, which
-/// leaves speculation with nothing to run ahead of.
-fn widen_fetches(plan: &mut seco_plan::QueryPlan, fetches: u32, atom: Option<&str>) {
-    for id in plan.node_ids().collect::<Vec<_>>() {
-        if let Ok(seco_plan::PlanNode::Service(s)) = plan.node_mut(id) {
-            if atom.is_none_or(|a| s.atom == a) {
-                s.fetches = fetches;
-            }
-        }
-    }
-}
-
-fn bench_prefetch(n_parallel: usize) -> Result<serde_json::Value, DynError> {
-    let (reg, query) = chain_scenario(4, 7);
-    let best = optimize(&query, &reg, CostMetric::RequestCount)?;
-    let mut plan = best.plan;
-    widen_fetches(&mut plan, 3, None);
-    let opts = |fetch: FetchOptions| EngineConfig {
-        fetch,
-        ..Default::default()
-    };
-    reg.reset_stats();
-    let off = execute_plan(&plan, &reg, opts(FetchOptions::cached(8)))?;
-    let calls_off = reg.total_stats().calls;
-    reg.reset_stats();
-    let on = execute_plan(&plan, &reg, opts(FetchOptions::cached(8).with_prefetch()))?;
-    let stats_on = reg.total_stats();
-    let identical = format!("{:?}", off.results) == format!("{:?}", on.results);
-    println!(
-        "prefetch (chain n=4): identical={identical}, {} prefetches, \
-         underlying calls {calls_off} -> {}",
-        stats_on.prefetches, stats_on.calls
-    );
-    assert!(identical, "prefetch must not change the answer");
-    assert!(stats_on.prefetches > 0, "speculation must have triggered");
-
-    // Pipelined executor, n services, batched output path.
-    let (preg, pquery) = chain_scenario(n_parallel, 7);
-    let pbest = optimize(&pquery, &preg, CostMetric::RequestCount)?;
-    let mut pplan = pbest.plan;
-    // Widening every stage of a deep chain multiplies intermediate
-    // tuples exponentially; the head alone is enough to keep the
-    // background prefetcher busy.
-    widen_fetches(&mut pplan, 3, Some("A1"));
-    let start = Instant::now();
-    let seq = execute_plan(&pplan, &preg, opts(FetchOptions::cached(8)))?;
-    let seq_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let par = execute_parallel(&pplan, &preg, opts(FetchOptions::cached(8).with_prefetch()))?;
-    let par_ms = start.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "pipelined (chain n={n_parallel}, batched channels): {} results in {par_ms:.1} ms \
-         (sequential {seq_ms:.1} ms)",
-        par.len()
-    );
-    assert_eq!(par.len(), seq.results.len(), "executors must agree");
-    Ok(serde_json::json!({
-        "deterministic_identical_with_prefetch": identical,
-        "prefetches": stats_on.prefetches,
-        "underlying_calls_prefetch_off": calls_off,
-        "underlying_calls_prefetch_on": stats_on.calls,
-        "parallel_chain_n": n_parallel,
-        "parallel_results": par.len(),
-        "parallel_wall_ms": par_ms,
-        "sequential_wall_ms": seq_ms,
-    }))
-}
-
 fn main() -> Result<(), DynError> {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (chain_n, contention_iters, par_n) = if smoke {
-        (3, 5_000, 4)
-    } else {
-        (4, 100_000, 6)
-    };
+    let (chain_n, contention_iters) = if smoke { (3, 5_000) } else { (4, 100_000) };
     println!(
         "fetch_bench ({} mode)",
         if smoke { "smoke" } else { "full" }
@@ -311,7 +233,6 @@ fn main() -> Result<(), DynError> {
         "call_reduction": bench_call_reduction(chain_n)?,
         "shard_contention": bench_shard_contention(contention_iters)?,
         "coalescing": bench_coalescing()?,
-        "prefetch": bench_prefetch(par_n)?,
     });
     std::fs::create_dir_all("results")?;
     std::fs::write(

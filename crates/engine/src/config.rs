@@ -25,7 +25,6 @@ use crate::executor::{FailureMode, FetchOptions};
 ///     .join_k(10)
 ///     .failure_mode(FailureMode::Degrade)
 ///     .cache_shards(8)
-///     .prefetch(true)
 ///     .columnar(true)
 ///     .batch_eval(true);
 /// assert_eq!(config.join_k, 10);
@@ -43,9 +42,9 @@ pub struct EngineConfig {
     /// configuration (deadline, retry/backoff, circuit breaker). One
     /// client — hence one breaker — per service.
     pub client: Option<ClientConfig>,
-    /// Fetch-layer configuration (cache, coalescing, prefetch). The
-    /// cache sits *above* the resilient client, so hits and coalesced
-    /// waits bypass retries and breaker checks entirely.
+    /// Fetch-layer configuration (cache, coalescing). The cache sits
+    /// *above* the resilient client, so hits and coalesced waits bypass
+    /// retries and breaker checks entirely.
     pub fetch: FetchOptions,
     /// Join-kernel configuration: hash-index acceleration of tile and
     /// pipe joins, and top-k tile pruning. The default (`Hash`, no
@@ -146,12 +145,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables speculative chunk prefetch.
-    pub fn prefetch(mut self, on: bool) -> Self {
-        self.fetch.prefetch = on;
-        self
-    }
-
     /// Sets the candidate-enumeration mode of tile joins.
     pub fn join_index_mode(mut self, mode: JoinIndexMode) -> Self {
         self.join_index.mode = mode;
@@ -227,7 +220,6 @@ mod tests {
             .client(ClientConfig::default())
             .cache_shards(4)
             .cache_capacity(128)
-            .prefetch(true)
             .join_index_mode(JoinIndexMode::Off)
             .tile_prune(true)
             .columnar(false)
@@ -243,7 +235,6 @@ mod tests {
         assert!(cfg.client.is_some());
         assert_eq!(cfg.fetch.cache_shards, 4);
         assert_eq!(cfg.fetch.cache_capacity, 128);
-        assert!(cfg.fetch.prefetch);
         assert_eq!(cfg.join_index.mode, JoinIndexMode::Off);
         assert!(cfg.join_index.tile_prune);
         assert!(!cfg.columnar.columnar);

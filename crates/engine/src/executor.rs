@@ -12,6 +12,10 @@
 //!   preserving the strategy's emission order;
 //! * the **output node** collects the final combinations.
 //!
+//! The node operators themselves live in [`crate::ops`], shared with
+//! the pipelined executor; this module schedules them, replays
+//! memoized stages across adaptive restarts, and accounts time.
+//!
 //! Time is accounted on the virtual clock: each node's busy time is its
 //! calls × the service's response time; the plan's critical-path time
 //! is computed over the DAG exactly like the execution-time cost
@@ -19,21 +23,16 @@
 //! (E8/E14).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
-use seco_join::{score_order, ColumnarOptions, JoinStats, NaryJoin, NaryStage, PipeJoin, RankJoin};
-use seco_model::{BitMask, Column, CompositeTuple};
+use seco_join::JoinStats;
+use seco_model::CompositeTuple;
 use seco_optimizer::Optimizer;
 use seco_plan::{annotate, AnnotatedPlan, AnnotationConfig, NodeId, PlanNode, QueryPlan};
-use seco_query::feasibility::analyze;
-use seco_query::predicate::{
-    resolve_predicates, satisfies_available, ResolvedPredicate, SchemaMap,
-};
-use seco_query::CompiledPredicates;
-use seco_services::{drift_ratio, DeviationPolicy, Prefetcher, Service, ServiceRegistry};
+use seco_services::{drift_ratio, DeviationPolicy, ServiceRegistry};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
+use crate::ops::Operators;
 use crate::shared::SharedState;
 use crate::trace::{ExecutionTrace, TraceEvent};
 
@@ -49,19 +48,15 @@ pub enum FailureMode {
     Degrade,
 }
 
-/// Fetch-layer options: the sharded response cache, request
-/// coalescing, and speculative chunk prefetch
-/// ([`seco_services::cache`], [`seco_services::prefetch`]).
+/// Fetch-layer options: the sharded response cache and request
+/// coalescing ([`seco_services::cache`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchOptions {
     /// Shards of the per-service response cache; 0 leaves the cache
-    /// off (unless `prefetch` forces it on at the default width).
+    /// off.
     pub cache_shards: usize,
     /// Maximum cached responses per service, across all shards.
     pub cache_capacity: usize,
-    /// Speculatively warm chunk `c + 1` while the join consumes chunk
-    /// `c`, within each node's optimizer-assigned fetch budget.
-    pub prefetch: bool,
 }
 
 impl Default for FetchOptions {
@@ -69,7 +64,6 @@ impl Default for FetchOptions {
         FetchOptions {
             cache_shards: 0,
             cache_capacity: 4096,
-            prefetch: false,
         }
     }
 }
@@ -83,23 +77,9 @@ impl FetchOptions {
         }
     }
 
-    /// Enables speculative chunk prefetch.
-    pub fn with_prefetch(mut self) -> Self {
-        self.prefetch = true;
-        self
-    }
-
-    /// `(shards, capacity)` when the cache is on. Prefetch without an
-    /// explicit shard count turns the cache on at the default width —
-    /// speculation needs somewhere to land its responses.
+    /// `(shards, capacity)` when the cache is on.
     pub fn cache(&self) -> Option<(usize, usize)> {
-        if self.cache_shards > 0 {
-            Some((self.cache_shards, self.cache_capacity))
-        } else if self.prefetch {
-            Some((seco_services::cache::DEFAULT_SHARDS, self.cache_capacity))
-        } else {
-            None
-        }
+        (self.cache_shards > 0).then_some((self.cache_shards, self.cache_capacity))
     }
 
     /// True when any part of the fetch layer is active.
@@ -271,26 +251,6 @@ fn run_pass(
     checked: &mut BTreeSet<String>,
     shared: Option<&SharedState>,
 ) -> Result<PassOutcome, EngineError> {
-    plan.validate()?;
-    let report = analyze(&plan.query, registry)?;
-    let joins = plan.query.expanded_joins(registry)?;
-    let predicates = resolve_predicates(&plan.query, &joins)?;
-    let mut schemas: SchemaMap<'_> = BTreeMap::new();
-    for atom in &plan.query.atoms {
-        schemas.insert(
-            atom.alias.clone(),
-            &registry.interface(&atom.service)?.schema,
-        );
-    }
-
-    let order = plan.topo_order()?;
-    let mut outputs: Vec<Vec<CompositeTuple>> = vec![Vec::new(); plan.len()];
-    let mut busy: Vec<f64> = vec![0.0; plan.len()];
-    let mut trace = ExecutionTrace::default();
-    let mut total_calls = 0usize;
-    let mut join_stats = JoinStats::default();
-
-    let degrade = options.failure_mode == FailureMode::Degrade;
     // One fetch stack per service, shared across plan nodes: the
     // resilient client (when configured) under the sharded response
     // cache, so the circuit breaker and the memoized responses both
@@ -309,33 +269,20 @@ fn run_pass(
         }
     };
     let clock = state.clock().clone();
-    // Morsel pool for the join kernels: with `exec_workers > 1` reuse
-    // the daemon's shared pool (same worker budget for every session)
-    // or spin up a pass-local one; the ordered reducer keeps output
-    // byte-identical to serial either way. `exec_workers == 1` passes
-    // no pool at all — the kernels take their exact serial code path.
-    let exec_pool: Option<Arc<seco_exec::ExecPool>> = if options.exec_workers > 1 {
-        Some(match state.exec_pool() {
-            Some(p) => p.clone(),
-            None => Arc::new(seco_exec::ExecPool::new(options.exec_workers)),
-        })
-    } else {
-        None
-    };
+    let ops = Operators::new(plan, registry, options, state)?;
+    let fusion = ops.fusion()?;
+
+    let order = plan.topo_order()?;
+    let mut outputs: Vec<Vec<CompositeTuple>> = vec![Vec::new(); plan.len()];
+    let mut busy: Vec<f64> = vec![0.0; plan.len()];
+    let mut trace = ExecutionTrace::default();
+    let mut total_calls = 0usize;
+    let mut join_stats = JoinStats::default();
     let cache_cfg = options.fetch.cache();
     let mut degraded: BTreeSet<String> = BTreeSet::new();
     // Whether each node's output is already partial (some upstream
     // branch lost tuples to a failure).
     let mut node_degraded: Vec<bool> = vec![false; plan.len()];
-
-    // Left-deep chains of parallel joins the n-ary kernel can fuse.
-    // Rank join takes precedence: its score-sorted top-k inputs are
-    // incompatible with replaying the cascade's exploration.
-    let (nary_elided, nary_chains) = if options.nary_join && !options.rank_join {
-        fusion_chains(plan)?
-    } else {
-        (vec![false; plan.len()], BTreeMap::new())
-    };
 
     // Plan-time cardinality estimates, for the adaptive checkpoints.
     let mut estimates: Option<AnnotatedPlan> = if options.adaptive {
@@ -369,14 +316,7 @@ fn run_pass(
                 PlanNode::Selection(sel) => {
                     let input = outputs[preds_nodes[0].0].clone();
                     let n_in = input.len();
-                    let node_preds = resolve_selection_node(sel, &plan.query)?;
-                    let kept = run_selection(
-                        &node_preds,
-                        input,
-                        &schemas,
-                        options.columnar,
-                        &mut join_stats,
-                    )?;
+                    let kept = ops.selection(sel)?.run(input, &mut join_stats)?;
                     (n_in, kept, 0, 0.0, node_degraded[preds_nodes[0].0])
                 }
                 PlanNode::Service(node)
@@ -397,47 +337,14 @@ fn run_pass(
                     (n_in, m.outputs.clone(), m.calls, m.busy_ms, deg)
                 }
                 PlanNode::Service(node) => {
-                    let input = outputs[preds_nodes[0].0].clone();
-                    let n_in = input.len();
-                    let iface = registry.interface(&node.service)?;
-                    let bindings = report.bindings_of(&node.atom);
-                    let stage = PipeJoin {
-                        atom: &node.atom,
-                        bindings: &bindings,
-                        query_inputs: &plan.query.inputs,
-                        predicates: &predicates,
-                        schemas: &schemas,
-                        fetches: node.fetches as usize,
-                        keep_first: node.keep_first,
-                        tolerate_failures: degrade,
-                        columnar: options.columnar,
-                    };
+                    let input = &outputs[preds_nodes[0].0];
                     let recorded = registry.service(&node.service)?;
-                    let (base, client, cache) =
-                        state.stack_for(&node.service, &recorded, &options, false);
-                    // Inline speculation: the prefetch runs on this
-                    // thread, so the virtual timeline and the fault
-                    // schedule stay a pure function of the seed.
-                    // Never speculate past a keep-first stage: it stops
-                    // at the first satisfying tuple, so chunk `c + 1`
-                    // would be warmed for a join that may never ask.
-                    let handle: Arc<dyn Service> =
-                        if options.fetch.prefetch && node.fetches > 1 && !node.keep_first {
-                            let mut pf = Prefetcher::new(base, node.fetches as usize)
-                                .with_recorder(recorded.clone());
-                            if let Some(c) = &client {
-                                pf = pf.respecting_breaker(c.clone());
-                            }
-                            if let Some(c) = &cache {
-                                pf = pf.probing(c.clone());
-                            }
-                            Arc::new(pf)
-                        } else {
-                            base
-                        };
+                    let service = state.stack_for(&node.service, &recorded, &options, false);
                     let clock_before = clock.now_ms();
                     let busy_before = recorded.stats().busy_ms;
-                    let outcome = stage.run(&input, handle.as_ref())?;
+                    let outcome =
+                        ops.service_stage(node)
+                            .run(input, service.as_ref(), &mut join_stats)?;
                     let busy_ms = if options.client.is_some() {
                         // Busy time is the clock delta: calls plus
                         // retries, backoff pauses, and abandoned calls
@@ -449,23 +356,9 @@ fn run_pass(
                         // (hits and coalesced waits are free).
                         recorded.stats().busy_ms - busy_before
                     } else {
+                        let iface = registry.interface(&node.service)?;
                         outcome.calls as f64 * iface.stats.response_time_ms
                     };
-                    join_stats.merge(&outcome.stats);
-                    recorded.note_join_counters(
-                        outcome.stats.index_builds,
-                        outcome.stats.probes,
-                        outcome.stats.pairs_skipped,
-                        outcome.stats.tiles_pruned,
-                        outcome.stats.predicate_evals,
-                        outcome.stats.columns_scanned,
-                        outcome.stats.batch_evals,
-                        outcome.stats.rows_materialized,
-                        outcome.stats.chunks_fetched,
-                        outcome.stats.chunks_saved,
-                        outcome.stats.bound_checks,
-                        outcome.stats.intermediates_elided,
-                    );
                     let mut deg = node_degraded[preds_nodes[0].0];
                     if outcome.degraded {
                         degraded.insert(node.service.clone());
@@ -483,180 +376,34 @@ fn run_pass(
                             },
                         );
                     }
-                    (n_in, outcome.results, outcome.calls, busy_ms, deg)
+                    (input.len(), outcome.results, outcome.calls, busy_ms, deg)
                 }
-                PlanNode::ParallelJoin(spec) if nary_elided[id.0] => {
+                PlanNode::ParallelJoin(_) if fusion.elided[id.0] => {
                     // Absorbed into a downstream n-ary fusion: the
                     // chain's top join consumes this node's inputs
-                    // directly. The label `spec` stays unused here.
-                    let _ = spec;
+                    // directly.
                     let deg = node_degraded[preds_nodes[0].0] || node_degraded[preds_nodes[1].0];
                     (0, Vec::new(), 0, 0.0, deg)
                 }
-                PlanNode::ParallelJoin(_) if nary_chains.contains_key(&id.0) => {
-                    let chain = &nary_chains[&id.0];
-                    // Feeder nodes: the bottom join's two inputs, then
-                    // every later join's right input, in join order.
-                    let fp = plan.predecessors(chain[0]);
-                    let mut group_nodes = vec![fp[0], fp[1]];
-                    for j in chain.iter().skip(1) {
-                        group_nodes.push(plan.predecessors(*j)[1]);
-                    }
+                PlanNode::ParallelJoin(_) if fusion.chains.contains_key(&id.0) => {
+                    let chain = &fusion.chains[&id.0];
+                    let feeders = ops.chain_feeders(chain);
                     let groups: Vec<Vec<CompositeTuple>> =
-                        group_nodes.iter().map(|g| outputs[g.0].clone()).collect();
-                    let any_deg = group_nodes.iter().any(|g| node_degraded[g.0]);
+                        feeders.iter().map(|g| outputs[g.0].clone()).collect();
+                    let group_deg: Vec<bool> = feeders.iter().map(|g| node_degraded[g.0]).collect();
                     let n_in = groups.iter().map(Vec::len).sum();
-                    // Per-stage parameters, identical to what each
-                    // unfused join would have used.
-                    let mut params = Vec::with_capacity(chain.len());
-                    for j in chain {
-                        let jp = plan.predecessors(*j);
-                        let PlanNode::ParallelJoin(js) = plan.node(*j)? else {
-                            unreachable!("fusion chains hold join nodes only");
-                        };
-                        let preds_j: Vec<ResolvedPredicate> = js
-                            .predicates
-                            .iter()
-                            .cloned()
-                            .map(ResolvedPredicate::Join)
-                            .collect();
-                        params.push((
-                            preds_j,
-                            js.invocation,
-                            js.completion,
-                            branch_step_chunks(plan, registry, jp[0]),
-                            branch_chunk_size(plan, registry, jp[0]),
-                            branch_chunk_size(plan, registry, jp[1]),
-                        ));
-                    }
-                    // Degraded inputs keep the cascade's per-stage
-                    // pass-through semantics; the kernel only fuses
-                    // clean runs.
-                    let fused = if any_deg {
-                        None
-                    } else {
-                        let stages: Vec<NaryStage<'_>> = params
-                            .iter()
-                            .map(|(p, inv, comp, h, lc, rc)| NaryStage {
-                                predicates: p,
-                                invocation: *inv,
-                                completion: *comp,
-                                h: *h,
-                                k: options.join_k,
-                                left_chunk: *lc,
-                                right_chunk: *rc,
-                            })
-                            .collect();
-                        let nj = NaryJoin {
-                            schemas: &schemas,
-                            tile_prune: options.join_index.tile_prune,
-                            pool: exec_pool.clone(),
-                        };
-                        nj.run(&groups, &stages)?
-                    };
-                    match fused {
-                        Some(out) => {
-                            join_stats.merge(&out.stats);
-                            (n_in, out.results, 0, 0.0, false)
-                        }
-                        None => {
-                            // Ineligible plan: run the byte-identical
-                            // binary cascade the fusion replaced.
-                            let mut cur = groups[0].clone();
-                            let mut cur_deg = node_degraded[group_nodes[0].0];
-                            for (gi, (p, inv, comp, h, lc, rc)) in params.iter().enumerate() {
-                                let right = groups[gi + 1].clone();
-                                let right_deg = node_degraded[group_nodes[gi + 1].0];
-                                let exec = seco_join::ParallelJoinExecutor {
-                                    predicates: p,
-                                    schemas: &schemas,
-                                    invocation: *inv,
-                                    completion: *comp,
-                                    h: *h,
-                                    k: options.join_k,
-                                    options: options.join_index,
-                                    columnar: options.columnar,
-                                    pool: exec_pool.clone(),
-                                };
-                                let mut sl = seco_join::executor::MemoryStream::new(cur, *lc);
-                                let mut sr = seco_join::executor::MemoryStream::new(right, *rc);
-                                let outcome = if degrade {
-                                    exec.run_with_degradation(&mut sl, &mut sr, cur_deg, right_deg)?
-                                } else {
-                                    exec.run(&mut sl, &mut sr)?
-                                };
-                                join_stats.merge(&outcome.stats);
-                                cur = outcome.results;
-                                cur_deg = cur_deg || right_deg;
-                            }
-                            (n_in, cur, 0, 0.0, cur_deg)
-                        }
-                    }
+                    let out = ops.fused_chain(chain, groups, &group_deg, &mut join_stats)?;
+                    (n_in, out, 0, 0.0, group_deg.contains(&true))
                 }
-                PlanNode::ParallelJoin(spec) => {
+                PlanNode::ParallelJoin(_) => {
                     let left = outputs[preds_nodes[0].0].clone();
                     let right = outputs[preds_nodes[1].0].clone();
                     let left_deg = node_degraded[preds_nodes[0].0];
                     let right_deg = node_degraded[preds_nodes[1].0];
                     let n_in = left.len() + right.len();
-                    let candidate_pairs = (left.len() * right.len()) as u64;
-                    // Chunk the branch materializations at the chunk
-                    // size of their source service when identifiable.
-                    let cl = branch_chunk_size(plan, registry, preds_nodes[0]);
-                    let cr = branch_chunk_size(plan, registry, preds_nodes[1]);
-                    let h = branch_step_chunks(plan, registry, preds_nodes[0]);
-                    let join_predicates: Vec<ResolvedPredicate> = spec
-                        .predicates
-                        .iter()
-                        .cloned()
-                        .map(ResolvedPredicate::Join)
-                        .collect();
-                    let exec = seco_join::ParallelJoinExecutor {
-                        predicates: &join_predicates,
-                        schemas: &schemas,
-                        invocation: spec.invocation,
-                        completion: spec.completion,
-                        h,
-                        k: options.join_k,
-                        options: options.join_index,
-                        columnar: options.columnar,
-                        pool: exec_pool.clone(),
-                    };
-                    let rank = options.rank_join
-                        && options.join_k > 0
-                        && !(degrade && (left_deg || right_deg));
-                    let outcome = if rank {
-                        // Rank join needs score-sorted streams; branch
-                        // materializations arrive in emission order.
-                        let mut left = left;
-                        let mut right = right;
-                        left.sort_by(score_order);
-                        right.sort_by(score_order);
-                        let mut sl = seco_join::executor::MemoryStream::new(left, cl);
-                        let mut sr = seco_join::executor::MemoryStream::new(right, cr);
-                        RankJoin {
-                            join: exec,
-                            space: None,
-                        }
-                        .run(&mut sl, &mut sr)?
-                    } else {
-                        let mut sl = seco_join::executor::MemoryStream::new(left, cl);
-                        let mut sr = seco_join::executor::MemoryStream::new(right, cr);
-                        if degrade {
-                            exec.run_with_degradation(&mut sl, &mut sr, left_deg, right_deg)?
-                        } else {
-                            exec.run(&mut sl, &mut sr)?
-                        }
-                    };
-                    join_stats.merge(&outcome.stats);
-                    note_parallel_join(
-                        plan,
-                        registry,
-                        id,
-                        candidate_pairs,
-                        outcome.results.len() as u64,
-                    );
-                    (n_in, outcome.results, 0, 0.0, left_deg || right_deg)
+                    let out =
+                        ops.parallel_join(id, left, right, (left_deg, right_deg), &mut join_stats)?;
+                    (n_in, out, 0, 0.0, left_deg || right_deg)
                 }
             };
         total_calls += calls;
@@ -680,7 +427,7 @@ fn run_pass(
         if let Some(est) = &estimates {
             let stage_key = match plan.node(id)? {
                 PlanNode::Service(s) => Some(format!("svc:{}", s.atom)),
-                PlanNode::ParallelJoin(_) if !nary_elided[id.0] => {
+                PlanNode::ParallelJoin(_) if !fusion.elided[id.0] => {
                     let atoms: Vec<String> = plan.atoms_at(id).into_iter().collect();
                     Some(format!("join:{}", atoms.join(",")))
                 }
@@ -736,31 +483,6 @@ fn run_pass(
     }))
 }
 
-/// Feeds the observed selectivity of a parallel join back to the
-/// registry: every query pattern connecting the two input branches is
-/// credited with `pairs` candidate pairs and `matches` survivors.
-pub(crate) fn note_parallel_join(
-    plan: &QueryPlan,
-    registry: &ServiceRegistry,
-    id: NodeId,
-    pairs: u64,
-    matches: u64,
-) {
-    let preds = plan.predecessors(id);
-    if preds.len() != 2 {
-        return;
-    }
-    let left = plan.atoms_at(preds[0]);
-    let right = plan.atoms_at(preds[1]);
-    for p in &plan.query.patterns {
-        let lr = left.contains(&p.from_atom) && right.contains(&p.to_atom);
-        let rl = right.contains(&p.from_atom) && left.contains(&p.to_atom);
-        if lr || rl {
-            registry.note_join_observation(&p.pattern, pairs, matches);
-        }
-    }
-}
-
 /// The service a checkpoint's re-plan is attributed to: the stage's own
 /// service, or for a join the lexicographically-first service among its
 /// input atoms.
@@ -780,151 +502,6 @@ fn trigger_service(plan: &QueryPlan, id: NodeId) -> Option<String> {
             .min(),
         _ => None,
     }
-}
-
-/// Resolves a selection node's predicates against the query inputs.
-pub(crate) fn resolve_selection_node(
-    sel: &seco_plan::SelectionNode,
-    query: &seco_query::Query,
-) -> Result<Vec<ResolvedPredicate>, EngineError> {
-    let mut out = Vec::with_capacity(sel.predicates.len() + sel.join_predicates.len());
-    for p in &sel.predicates {
-        out.push(ResolvedPredicate::Selection {
-            left: p.left.clone(),
-            op: p.op,
-            value: p.right.resolve(&query.inputs).map_err(EngineError::Query)?,
-        });
-    }
-    for j in &sel.join_predicates {
-        out.push(ResolvedPredicate::Join(j.clone()));
-    }
-    Ok(out)
-}
-
-/// Applies a selection node's predicates to its input composites.
-///
-/// With `batch_eval` on, a uniform input (same atom signature on every
-/// composite) is filtered by one vectorized kernel over columns
-/// gathered from the composites; any failed precondition — or a value
-/// only the scalar path can decide — falls back to the interpreted
-/// per-composite check, which also reproduces its error behavior.
-/// Selection nodes never counted `predicate_evals` (the pipe stages
-/// already charged the predicates), so the kernel only moves the
-/// columnar counters.
-pub(crate) fn run_selection(
-    preds: &[ResolvedPredicate],
-    input: Vec<CompositeTuple>,
-    schemas: &SchemaMap<'_>,
-    columnar: ColumnarOptions,
-    stats: &mut JoinStats,
-) -> Result<Vec<CompositeTuple>, EngineError> {
-    if columnar.batch_eval && input.len() > 1 {
-        let uniform = input.iter().all(|c| c.atoms == input[0].atoms);
-        if uniform {
-            if let Some(plan) = CompiledPredicates::compile(preds, schemas)
-                .and_then(|c| c.batch_plan(&[], &input[0].atoms))
-            {
-                if let Some(cols) = plan.gather_columns(&input) {
-                    let refs: Vec<_> = cols.iter().map(Column::as_ref).collect();
-                    let mut mask = BitMask::default();
-                    mask.reset_ones(input.len());
-                    if plan.eval_mask(None, &refs, &mut mask) {
-                        stats.batch_evals += 1;
-                        stats.columns_scanned += refs.len() as u64;
-                        return Ok(input
-                            .into_iter()
-                            .enumerate()
-                            .filter_map(|(i, c)| mask.get(i).then_some(c))
-                            .collect());
-                    }
-                }
-            }
-        }
-    }
-    let mut kept = Vec::new();
-    for c in input {
-        if satisfies_available(preds, &c, schemas)? {
-            kept.push(c);
-        }
-    }
-    Ok(kept)
-}
-
-/// Finds the left-deep chains of parallel joins eligible for n-ary
-/// fusion. A join is *absorbable* when its only consumer is another
-/// parallel join taking it as the **left** input — then the chain's top
-/// join can replay every stage in one pass. Returns per-node elision
-/// flags and, for each chain top, the chain's join nodes bottom-up
-/// (top included).
-#[allow(clippy::type_complexity)]
-pub(crate) fn fusion_chains(
-    plan: &QueryPlan,
-) -> Result<(Vec<bool>, BTreeMap<usize, Vec<NodeId>>), EngineError> {
-    let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); plan.len()];
-    for (from, to) in plan.edges() {
-        succs[from.0].push(*to);
-    }
-    let is_join = |id: NodeId| matches!(plan.node(id), Ok(PlanNode::ParallelJoin(_)));
-    let absorbable = |id: NodeId| {
-        is_join(id)
-            && succs[id.0].len() == 1
-            && is_join(succs[id.0][0])
-            && plan.predecessors(succs[id.0][0]).first() == Some(&id)
-    };
-    let mut elided = vec![false; plan.len()];
-    let mut chains: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-    for id in plan.topo_order()? {
-        if !is_join(id) || absorbable(id) {
-            continue;
-        }
-        let mut chain = vec![id];
-        let mut cur = id;
-        while let Some(&l) = plan.predecessors(cur).first() {
-            if !absorbable(l) {
-                break;
-            }
-            chain.push(l);
-            cur = l;
-        }
-        if chain.len() >= 2 {
-            chain.reverse();
-            for j in &chain[..chain.len() - 1] {
-                elided[j.0] = true;
-            }
-            chains.insert(id.0, chain);
-        }
-    }
-    Ok((elided, chains))
-}
-
-/// Chunk size for re-chunking a branch: the chunk size of the nearest
-/// service node upstream, defaulting to 10.
-fn branch_chunk_size(plan: &QueryPlan, registry: &ServiceRegistry, from: NodeId) -> usize {
-    let mut cursor = Some(from);
-    while let Some(id) = cursor {
-        if let Ok(PlanNode::Service(node)) = plan.node(id) {
-            if let Ok(iface) = registry.interface(&node.service) {
-                return iface.stats.chunk_size;
-            }
-        }
-        cursor = plan.predecessors(id).first().copied();
-    }
-    10
-}
-
-/// Step parameter (chunks) of the nearest upstream service of a branch,
-/// for nested-loop joins; 1 when the branch is not step-scored.
-fn branch_step_chunks(plan: &QueryPlan, registry: &ServiceRegistry, from: NodeId) -> usize {
-    let mut cursor = Some(from);
-    while let Some(id) = cursor {
-        if let Ok(PlanNode::Service(node)) = plan.node(id) {
-            if let Ok(iface) = registry.interface(&node.service) {
-                return iface.decay.step_chunks().unwrap_or(1);
-            }
-        }
-        cursor = plan.predecessors(id).first().copied();
-    }
-    1
 }
 
 #[cfg(test)]

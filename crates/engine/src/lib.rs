@@ -26,6 +26,7 @@ pub mod clock;
 pub mod config;
 pub mod error;
 pub mod executor;
+mod ops;
 pub mod output;
 pub mod parallel;
 pub mod shared;

@@ -9,10 +9,12 @@
 //! stages are rendezvous points: they drain both inputs, then run the
 //! tile-space join and stream its emission order onward.
 //!
-//! Results are identical (as a set) to [`crate::executor::execute_plan`];
-//! the experiments use the deterministic executor and this one exists
-//! to exercise true pipelined execution (including failure propagation
-//! out of worker threads).
+//! Every node runs through the operators of [`crate::ops`], shared with
+//! [`crate::executor::execute_plan`], so on a fault-free run both
+//! executors return the same rows in the same order. The experiments
+//! use the deterministic executor and this one exists to exercise true
+//! pipelined execution (including failure propagation out of worker
+//! threads).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -20,20 +22,17 @@ use std::sync::Arc;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use seco_join::{score_order, JoinStats, NaryJoin, NaryStage, PipeJoin, RankJoin};
+use seco_join::JoinStats;
 use seco_model::CompositeTuple;
 use seco_optimizer::Optimizer;
-use seco_plan::{NodeId, PlanNode, QueryPlan};
-use seco_query::feasibility::analyze;
-use seco_query::predicate::{
-    resolve_predicates, satisfies_available, ResolvedPredicate, SchemaMap,
-};
-use seco_services::{DeviationPolicy, Prefetcher, Service, ServiceRegistry};
+use seco_plan::{PlanNode, QueryPlan};
+use seco_services::{DeviationPolicy, Service, ServiceRegistry};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::executor::{fusion_chains, FailureMode};
-use crate::shared::{SharedState, Stack};
+use crate::executor::FailureMode;
+use crate::ops::Operators;
+use crate::shared::SharedState;
 
 /// Channel capacity per plan arc, in batches; small enough to exercise
 /// backpressure, large enough to avoid senseless stalls.
@@ -46,9 +45,6 @@ const ARC_CAPACITY: usize = 256;
 /// sends exhibited with eight producer nodes.
 const BATCH_SIZE: usize = 32;
 
-/// Concurrent speculative fetches per service node.
-const PREFETCH_INFLIGHT: usize = 2;
-
 /// A batch of composites on a plan arc. Batches are `Arc`-shared so a
 /// fan-out over N consumers ships N handle bumps, not N vector copies
 /// (the composites themselves are thin handles already).
@@ -58,6 +54,11 @@ type Batch = Arc<Vec<CompositeTuple>>;
 /// consumer was the only one, clones handles otherwise.
 fn unbatch(batch: Batch) -> Vec<CompositeTuple> {
     Arc::try_unwrap(batch).unwrap_or_else(|shared| (*shared).clone())
+}
+
+/// Drains an input arc to its end (a rendezvous).
+fn drain(rx: &Receiver<Batch>) -> Vec<CompositeTuple> {
+    rx.iter().flat_map(unbatch).collect()
 }
 
 /// A worker's buffered fan-out over its outgoing arcs.
@@ -150,7 +151,7 @@ pub type BatchSink<'s> = &'s (dyn Fn(&[CompositeTuple]) + Sync);
 
 /// The daemon-grade pipelined entry point: executes against optional
 /// long-lived [`SharedState`] (persistent per-service caches, breaker
-/// state, and the speculation pool) and streams output batches into
+/// state, and the executor pool) and streams output batches into
 /// `sink` as they arrive at the output stage. Both extras are
 /// optional; with neither, this is exactly [`execute_parallel_with`].
 pub fn execute_parallel_session(
@@ -199,18 +200,21 @@ pub fn execute_parallel_session(
         None
     };
     let plan = replanned.as_ref().unwrap_or(plan);
-    plan.validate()?;
-    let report = analyze(&plan.query, registry)?;
-    let joins = plan.query.expanded_joins(registry)?;
-    let predicates = resolve_predicates(&plan.query, &joins)?;
-    let mut schemas: SchemaMap<'_> = BTreeMap::new();
-    for atom in &plan.query.atoms {
-        schemas.insert(
-            atom.alias.clone(),
-            &registry.interface(&atom.service)?.schema,
-        );
-    }
 
+    // With caller-provided shared state the fetch stacks (and the
+    // executor pool) persist across executions; without, they live for
+    // this run only.
+    let local_state;
+    let state = match shared {
+        Some(s) => s,
+        None => {
+            local_state = SharedState::new();
+            &local_state
+        }
+    };
+    let ops = Operators::new(plan, registry, options, state)?;
+    let ops = &ops;
+    let fusion = ops.fusion()?;
     let degrade = options.failure_mode == FailureMode::Degrade;
 
     // Which services feed each node, so a rendezvous join can attribute
@@ -230,38 +234,23 @@ pub fn execute_parallel_session(
         ancestors[id.0] = set;
     }
 
-    // Left-deep parallel-join chains fused by the n-ary kernel (rank
-    // join takes precedence, exactly as in the deterministic executor).
-    let (nary_elided, nary_chains) = if options.nary_join && !options.rank_join {
-        fusion_chains(plan)?
-    } else {
-        (vec![false; plan.len()], BTreeMap::new())
-    };
     // Channel rerouting for fused chains: edges into an absorbed join
     // deliver straight to the chain's top join (tagged with their group
     // index) and the chain's internal edges disappear, so the absorbed
     // joins never spawn.
     let mut skip_edges: BTreeSet<(usize, usize)> = BTreeSet::new();
     let mut routes: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
-    let mut fused_groups: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-    for (top, chain) in &nary_chains {
-        let fp = plan.predecessors(chain[0]);
-        let mut group_nodes = vec![fp[0], fp[1]];
-        routes
-            .entry((fp[0].0, chain[0].0))
-            .or_default()
-            .push((*top, 0));
-        routes
-            .entry((fp[1].0, chain[0].0))
-            .or_default()
-            .push((*top, 1));
-        for (i, j) in chain.iter().enumerate().skip(1) {
-            skip_edges.insert((chain[i - 1].0, j.0));
-            let g = plan.predecessors(*j)[1];
-            routes.entry((g.0, j.0)).or_default().push((*top, i + 1));
-            group_nodes.push(g);
+    for (top, chain) in &fusion.chains {
+        for (gi, feeder) in ops.chain_feeders(chain).into_iter().enumerate() {
+            let consumer = chain[gi.saturating_sub(1)];
+            routes
+                .entry((feeder.0, consumer.0))
+                .or_default()
+                .push((*top, gi));
         }
-        fused_groups.insert(*top, group_nodes);
+        for pair in chain.windows(2) {
+            skip_edges.insert((pair[0].0, pair[1].0));
+        }
     }
 
     // One channel per arc, carrying shared batches of tuples.
@@ -284,19 +273,8 @@ pub fn execute_parallel_session(
     // that invokes it: the wall-clock resilient client — one breaker
     // per service, matching the deterministic executor — under the
     // sharded response cache, whose singleflight layer coalesces
-    // concurrent identical requests across plan nodes. With
-    // caller-provided shared state the stacks (and the speculation
-    // pool) persist across executions; without, they live for this
-    // run only.
-    let local_state;
-    let state = match shared {
-        Some(s) => s,
-        None => {
-            local_state = SharedState::new();
-            &local_state
-        }
-    };
-    let mut stacks: BTreeMap<String, Stack> = BTreeMap::new();
+    // concurrent identical requests across plan nodes.
+    let mut stacks: BTreeMap<String, Arc<dyn Service>> = BTreeMap::new();
     for id in plan.node_ids() {
         if let Ok(PlanNode::Service(node)) = plan.node(id) {
             if stacks.contains_key(&node.service) {
@@ -310,425 +288,160 @@ pub fn execute_parallel_session(
         }
     }
     let stacks = &stacks;
-    // Executor pool resolution. A daemon's shared pool serves every
-    // session; a one-shot run with `exec_workers > 1` builds a
-    // run-local pool (dropped — drained and joined — on return). The
-    // pool's *compute tier* runs join morsels and detached prefetch
-    // speculation; its *elastic blocking tier* runs the plan-node
-    // tasks below, which block on channel rendezvous and therefore
-    // must never occupy a bounded compute worker.
-    let local_pool;
-    let exec_pool: Option<&Arc<seco_exec::ExecPool>> = match state.exec_pool() {
-        Some(p) => Some(p),
-        None if options.exec_workers > 1 => {
-            local_pool = Arc::new(seco_exec::ExecPool::new(options.exec_workers));
-            Some(&local_pool)
-        }
-        None => None,
-    };
-    // Morsel parallelism inside the join kernels is opt-in via
-    // `exec_workers`: at 1 the kernels take their exact serial path
-    // even when a daemon pool exists for prefetch and node fan-out.
-    let join_pool: Option<Arc<seco_exec::ExecPool>> = if options.exec_workers > 1 {
-        exec_pool.cloned()
-    } else {
-        None
-    };
-    let join_pool = &join_pool;
+    // The plan-node tasks below block on channel rendezvous, so on a
+    // pooled run they go to the pool's elastic blocking tier, never to
+    // a bounded compute worker: the daemon's shared pool, or the
+    // run-local morsel pool of the join kernels when `exec_workers > 1`.
+    let task_pool = state.exec_pool().or(ops.pool());
 
     let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
     let output: Mutex<Vec<CompositeTuple>> = Mutex::new(Vec::new());
     let degraded: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
     let join_stats: Mutex<JoinStats> = Mutex::new(JoinStats::default());
+    // Whether any service upstream of `node` has recorded a failure.
+    // Called by rendezvous nodes once their input channels closed, so
+    // every upstream degradation is already recorded.
+    let upstream_degraded = |node: usize| {
+        degrade && {
+            let deg = degraded.lock();
+            ancestors[node].iter().any(|s| deg.contains(s))
+        }
+    };
 
     let mut node_tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-    {
-        for id in plan.node_ids() {
-            if nary_elided[id.0] {
-                // Absorbed into a fused chain: its channels were
-                // rerouted to the chain top, so there is nothing to run.
+    for id in plan.node_ids() {
+        if fusion.elided[id.0] {
+            // Absorbed into a fused chain: its channels were rerouted
+            // to the chain top, so there is nothing to run.
+            continue;
+        }
+        let node = match plan.node(id) {
+            Ok(n) => n,
+            Err(e) => {
+                *first_error.lock() = Some(EngineError::Plan(e));
                 continue;
             }
-            let node = match plan.node(id) {
-                Ok(n) => n.clone(),
-                Err(e) => {
-                    *first_error.lock() = Some(EngineError::Plan(e));
-                    continue;
+        };
+        let my_senders = std::mem::take(&mut senders[id.0]);
+        let my_receivers = std::mem::take(&mut receivers[id.0]);
+        let my_extra = std::mem::take(&mut extra_rx[id.0]);
+        let chain = fusion.chains.get(&id.0);
+        let my_preds = plan.predecessors(id);
+        let first_error = &first_error;
+        let output = &output;
+        let degraded = &degraded;
+        let join_stats = &join_stats;
+        let upstream_degraded = &upstream_degraded;
+        node_tasks.push(Box::new(move || {
+            let fail = |e: EngineError| {
+                let mut slot = first_error.lock();
+                if slot.is_none() {
+                    *slot = Some(e);
                 }
             };
-            let my_senders = std::mem::take(&mut senders[id.0]);
-            let my_receivers = std::mem::take(&mut receivers[id.0]);
-            let my_extra = std::mem::take(&mut extra_rx[id.0]);
-            let fused_group_nodes = fused_groups.get(&id.0).cloned();
-            let chain_nodes = nary_chains.get(&id.0).cloned();
-            let plan_ref = plan;
-            let my_preds = plan.predecessors(id);
-            let report = &report;
-            let predicates = &predicates;
-            let schemas = &schemas;
-            let first_error = &first_error;
-            let output = &output;
-            let degraded = &degraded;
-            let join_stats = &join_stats;
-            let ancestors = &ancestors;
-            let query = &plan.query;
-            node_tasks.push(Box::new(move || {
-                let fail = |e: EngineError| {
-                    let mut slot = first_error.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                };
-                let mut out = Fanout::new(my_senders);
-                match node {
-                    PlanNode::Input => {
-                        out.push(CompositeTuple {
-                            atoms: Vec::new(),
-                            components: Vec::new(),
-                        });
-                        out.flush();
-                    }
-                    PlanNode::Output => {
-                        // Batches arrive pre-buffered per producer, so
-                        // this stays one extend per batch — not one
-                        // lock acquisition per tuple. A streaming sink
-                        // sees each batch the moment it lands, while
-                        // upstream stages are still joining tiles.
-                        let mut collected = Vec::new();
-                        for batch in my_receivers[0].iter() {
-                            if let Some(push) = sink {
-                                push(&batch);
-                            }
-                            collected.extend(unbatch(batch));
+            let mut out = Fanout::new(my_senders);
+            let mut local = JoinStats::default();
+            let results: Vec<CompositeTuple> = match node {
+                PlanNode::Input => vec![CompositeTuple {
+                    atoms: Vec::new(),
+                    components: Vec::new(),
+                }],
+                PlanNode::Output => {
+                    // Batches arrive pre-buffered per producer, so this
+                    // stays one extend per batch — not one lock
+                    // acquisition per tuple. A streaming sink sees each
+                    // batch the moment it lands, while upstream stages
+                    // are still joining tiles.
+                    let mut collected = Vec::new();
+                    for batch in my_receivers[0].iter() {
+                        if let Some(push) = sink {
+                            push(&batch);
                         }
-                        *output.lock() = collected;
+                        collected.extend(unbatch(batch));
                     }
-                    PlanNode::Selection(sel) => {
-                        let node_preds = match crate::executor::resolve_selection_node(&sel, query)
-                        {
-                            Ok(p) => p,
+                    *output.lock() = collected;
+                    return;
+                }
+                PlanNode::Selection(sel) => {
+                    let selection = match ops.selection(sel) {
+                        Ok(s) => s,
+                        Err(e) => return fail(e),
+                    };
+                    for batch in my_receivers[0].iter() {
+                        match selection.run(unbatch(batch), &mut local) {
+                            Ok(kept) => {
+                                if !kept.into_iter().all(|c| out.push(c)) {
+                                    return;
+                                }
+                            }
                             Err(e) => return fail(e),
-                        };
-                        for c in my_receivers[0].iter().flat_map(unbatch) {
-                            match satisfies_available(&node_preds, &c, schemas) {
-                                Ok(true) => {
-                                    if !out.push(c) {
-                                        return;
-                                    }
-                                }
-                                Ok(false) => {}
-                                Err(e) => return fail(EngineError::Query(e)),
-                            }
                         }
-                        out.flush();
                     }
-                    PlanNode::Service(svc) => {
-                        let (base, client, cache) = stacks
-                            .get(&svc.service)
-                            .cloned()
-                            .expect("every service node has a prepared stack");
-                        // Background speculation: real threads warm the
-                        // next chunk while the pipe loop joins this one.
-                        // Keep-first stages stop at the first satisfying
-                        // tuple, so speculating past them wastes calls.
-                        let handle: Arc<dyn Service> =
-                            if options.fetch.prefetch && svc.fetches > 1 && !svc.keep_first {
-                                let recorded = match registry.service(&svc.service) {
-                                    Ok(r) => r,
-                                    Err(e) => return fail(EngineError::Service(e)),
-                                };
-                                // Daemon mode runs speculation on the
-                                // shared pool (threads bounded by the
-                                // engine state's lifetime); one-shot
-                                // mode spawns per-fetch threads joined
-                                // at stage end.
-                                let mut pf = match exec_pool {
-                                    Some(pool) => Prefetcher::new(base, svc.fetches as usize)
-                                        .via_pool(pool.clone()),
-                                    None => Prefetcher::new(base, svc.fetches as usize)
-                                        .background(PREFETCH_INFLIGHT),
+                    Vec::new()
+                }
+                PlanNode::Service(svc) => {
+                    let service = &stacks[&svc.service];
+                    let stage = ops.service_stage(svc);
+                    for batch in my_receivers[0].iter() {
+                        match stage.run(&batch, service.as_ref(), &mut local) {
+                            Ok(stage_out) => {
+                                if stage_out.degraded {
+                                    degraded.lock().insert(svc.service.clone());
                                 }
-                                .with_recorder(recorded);
-                                if let Some(c) = &client {
-                                    pf = pf.respecting_breaker(c.clone());
+                                if !stage_out.results.into_iter().all(|c| out.push(c)) {
+                                    return;
                                 }
-                                if let Some(c) = &cache {
-                                    pf = pf.probing(c.clone());
-                                }
-                                Arc::new(pf)
-                            } else {
-                                base
-                            };
-                        let bindings = report.bindings_of(&svc.atom);
-                        let stage = PipeJoin {
-                            atom: &svc.atom,
-                            bindings: &bindings,
-                            query_inputs: &query.inputs,
-                            predicates,
-                            schemas,
-                            fetches: svc.fetches as usize,
-                            keep_first: svc.keep_first,
-                            tolerate_failures: degrade,
-                            columnar: options.columnar,
-                        };
-                        let mut local = JoinStats::default();
-                        for input in my_receivers[0].iter().flat_map(unbatch) {
-                            match stage.run(std::slice::from_ref(&input), handle.as_ref()) {
-                                Ok(stage_out) => {
-                                    local.merge(&stage_out.stats);
-                                    if stage_out.degraded {
-                                        degraded.lock().insert(svc.service.clone());
-                                    }
-                                    for c in stage_out.results {
-                                        if !out.push(c) {
-                                            return;
-                                        }
-                                    }
-                                }
-                                Err(e) => return fail(EngineError::Join(e)),
                             }
+                            Err(e) => return fail(e),
                         }
-                        join_stats.lock().merge(&local);
-                        if let Ok(recorded) = registry.service(&svc.service) {
-                            recorded.note_join_counters(
-                                local.index_builds,
-                                local.probes,
-                                local.pairs_skipped,
-                                local.tiles_pruned,
-                                local.predicate_evals,
-                                local.columns_scanned,
-                                local.batch_evals,
-                                local.rows_materialized,
-                                local.chunks_fetched,
-                                local.chunks_saved,
-                                local.bound_checks,
-                                local.intermediates_elided,
-                            );
-                        }
-                        out.flush();
                     }
-                    PlanNode::ParallelJoin(spec) if fused_group_nodes.is_some() => {
-                        let _ = spec;
-                        let group_nodes = fused_group_nodes.expect("guarded above");
-                        let chain = chain_nodes.expect("tops always carry their chain");
+                    Vec::new()
+                }
+                PlanNode::ParallelJoin(_) => {
+                    let joined = match chain {
                         // N-ary rendezvous: drain every group channel in
                         // group order.
-                        let mut tagged = my_extra;
-                        tagged.sort_by_key(|(gi, _)| *gi);
-                        let groups: Vec<Vec<CompositeTuple>> = tagged
-                            .iter()
-                            .map(|(_, rx)| rx.iter().flat_map(unbatch).collect())
-                            .collect();
-                        // Per-stage parameters: this executor's joins run
-                        // with h = 1 and chunk size 10 (see the unfused
-                        // arm), so the replayed stages must too.
-                        let mut stage_preds: Vec<Vec<ResolvedPredicate>> = Vec::new();
-                        let mut stage_shape = Vec::new();
-                        for j in &chain {
-                            match plan_ref.node(*j) {
-                                Ok(PlanNode::ParallelJoin(js)) => {
-                                    stage_preds.push(
-                                        js.predicates
-                                            .iter()
-                                            .cloned()
-                                            .map(ResolvedPredicate::Join)
-                                            .collect(),
-                                    );
-                                    stage_shape.push((js.invocation, js.completion));
-                                }
-                                Ok(_) => unreachable!("fusion chains hold join nodes only"),
-                                Err(e) => return fail(EngineError::Plan(e)),
-                            }
-                        }
-                        // All channels are closed by now, so every
-                        // upstream degradation is already recorded.
-                        let group_deg: Vec<bool> = if degrade {
-                            let deg = degraded.lock();
-                            group_nodes
+                        Some(chain) => {
+                            let mut tagged = my_extra;
+                            tagged.sort_by_key(|(gi, _)| *gi);
+                            let groups: Vec<Vec<CompositeTuple>> =
+                                tagged.iter().map(|(_, rx)| drain(rx)).collect();
+                            let group_deg: Vec<bool> = ops
+                                .chain_feeders(chain)
                                 .iter()
-                                .map(|g| ancestors[g.0].iter().any(|s| deg.contains(s)))
-                                .collect()
-                        } else {
-                            vec![false; group_nodes.len()]
-                        };
-                        let fused = if group_deg.iter().any(|d| *d) {
-                            // Degraded inputs keep the cascade's
-                            // per-stage pass-through semantics.
-                            Ok(None)
-                        } else {
-                            let stages: Vec<NaryStage<'_>> = stage_preds
-                                .iter()
-                                .zip(&stage_shape)
-                                .map(|(p, (inv, comp))| NaryStage {
-                                    predicates: p,
-                                    invocation: *inv,
-                                    completion: *comp,
-                                    h: 1,
-                                    k: options.join_k,
-                                    left_chunk: 10,
-                                    right_chunk: 10,
-                                })
+                                .map(|g| upstream_degraded(g.0))
                                 .collect();
-                            NaryJoin {
-                                schemas,
-                                tile_prune: options.join_index.tile_prune,
-                                pool: join_pool.clone(),
-                            }
-                            .run(&groups, &stages)
-                        };
-                        let results = match fused {
-                            Ok(Some(outcome)) => {
-                                join_stats.lock().merge(&outcome.stats);
-                                outcome.results
-                            }
-                            Ok(None) => {
-                                // Ineligible or degraded: run the
-                                // byte-identical binary cascade.
-                                let mut cur = groups[0].clone();
-                                let mut cur_deg = group_deg[0];
-                                for (i, p) in stage_preds.iter().enumerate() {
-                                    let exec = seco_join::ParallelJoinExecutor {
-                                        predicates: p,
-                                        schemas,
-                                        invocation: stage_shape[i].0,
-                                        completion: stage_shape[i].1,
-                                        h: 1,
-                                        k: options.join_k,
-                                        options: options.join_index,
-                                        columnar: options.columnar,
-                                        pool: join_pool.clone(),
-                                    };
-                                    let mut sl = seco_join::executor::MemoryStream::new(cur, 10);
-                                    let mut sr = seco_join::executor::MemoryStream::new(
-                                        groups[i + 1].clone(),
-                                        10,
-                                    );
-                                    let joined = if degrade {
-                                        exec.run_with_degradation(
-                                            &mut sl,
-                                            &mut sr,
-                                            cur_deg,
-                                            group_deg[i + 1],
-                                        )
-                                    } else {
-                                        exec.run(&mut sl, &mut sr)
-                                    };
-                                    match joined {
-                                        Ok(o) => {
-                                            join_stats.lock().merge(&o.stats);
-                                            cur = o.results;
-                                            cur_deg = cur_deg || group_deg[i + 1];
-                                        }
-                                        Err(e) => return fail(EngineError::Join(e)),
-                                    }
-                                }
-                                cur
-                            }
-                            Err(e) => return fail(EngineError::Join(e)),
-                        };
-                        for c in results {
-                            if !out.push(c) {
-                                return;
-                            }
+                            ops.fused_chain(chain, groups, &group_deg, &mut local)
                         }
-                        out.flush();
-                    }
-                    PlanNode::ParallelJoin(spec) => {
                         // Rendezvous: drain both inputs.
-                        let left: Vec<CompositeTuple> =
-                            my_receivers[0].iter().flat_map(unbatch).collect();
-                        let right: Vec<CompositeTuple> =
-                            my_receivers[1].iter().flat_map(unbatch).collect();
-                        let candidate_pairs = (left.len() * right.len()) as u64;
-                        let join_predicates: Vec<ResolvedPredicate> = spec
-                            .predicates
-                            .iter()
-                            .cloned()
-                            .map(ResolvedPredicate::Join)
-                            .collect();
-                        let exec = seco_join::ParallelJoinExecutor {
-                            predicates: &join_predicates,
-                            schemas,
-                            invocation: spec.invocation,
-                            completion: spec.completion,
-                            h: 1,
-                            k: options.join_k,
-                            options: options.join_index,
-                            columnar: options.columnar,
-                            pool: join_pool.clone(),
-                        };
-                        // Both channels are closed by now, so every
-                        // upstream degradation is already recorded.
-                        let (left_failed, right_failed) = if degrade {
-                            let deg = degraded.lock();
-                            (
-                                ancestors[my_preds[0].0].iter().any(|s| deg.contains(s)),
-                                ancestors[my_preds[1].0].iter().any(|s| deg.contains(s)),
-                            )
-                        } else {
-                            (false, false)
-                        };
-                        let rank = options.rank_join
-                            && options.join_k > 0
-                            && !(left_failed || right_failed);
-                        let joined = if rank {
-                            // Rank join needs score-sorted streams;
-                            // batches arrive in pipeline order.
-                            let mut left = left;
-                            let mut right = right;
-                            left.sort_by(score_order);
-                            right.sort_by(score_order);
-                            let mut sl = seco_join::executor::MemoryStream::new(left, 10);
-                            let mut sr = seco_join::executor::MemoryStream::new(right, 10);
-                            RankJoin {
-                                join: exec,
-                                space: None,
-                            }
-                            .run(&mut sl, &mut sr)
-                        } else {
-                            let mut sl = seco_join::executor::MemoryStream::new(left, 10);
-                            let mut sr = seco_join::executor::MemoryStream::new(right, 10);
-                            if degrade {
-                                exec.run_with_degradation(
-                                    &mut sl,
-                                    &mut sr,
-                                    left_failed,
-                                    right_failed,
-                                )
-                            } else {
-                                exec.run(&mut sl, &mut sr)
-                            }
-                        };
-                        match joined {
-                            Ok(outcome) => {
-                                join_stats.lock().merge(&outcome.stats);
-                                crate::executor::note_parallel_join(
-                                    plan_ref,
-                                    registry,
-                                    id,
-                                    candidate_pairs,
-                                    outcome.results.len() as u64,
-                                );
-                                for c in outcome.results {
-                                    if !out.push(c) {
-                                        return;
-                                    }
-                                }
-                                out.flush();
-                            }
-                            Err(e) => fail(EngineError::Join(e)),
+                        None => {
+                            let left = drain(&my_receivers[0]);
+                            let right = drain(&my_receivers[1]);
+                            let deg = (
+                                upstream_degraded(my_preds[0].0),
+                                upstream_degraded(my_preds[1].0),
+                            );
+                            ops.parallel_join(id, left, right, deg, &mut local)
                         }
+                    };
+                    match joined {
+                        Ok(results) => results,
+                        Err(e) => return fail(e),
                     }
                 }
-            }));
-        }
+            };
+            join_stats.lock().merge(&local);
+            if results.into_iter().all(|c| out.push(c)) {
+                out.flush();
+            }
+        }));
     }
     // One task per live plan node. On a pooled run the tasks go to the
     // pool's elastic blocking tier — threads there are reused across
     // queries and bounded by the pool's lifetime; without a pool this
     // is the historical scoped-thread fan-out. Both join every task
     // before returning.
-    match exec_pool {
+    match task_pool {
         Some(pool) => pool.scope_blocking(node_tasks),
         None => {
             std::thread::scope(|scope| {
@@ -758,24 +471,14 @@ mod tests {
     use seco_services::domains::entertainment;
 
     #[test]
-    fn parallel_matches_sequential_results_as_a_set() {
+    fn parallel_matches_sequential_results_row_for_row() {
         let reg = entertainment::build_registry(1).unwrap();
         let q = running_example();
         let best = optimize(&q, &reg, CostMetric::RequestCount).unwrap();
         let sequential =
             crate::executor::execute_plan(&best.plan, &reg, EngineConfig::default()).unwrap();
         let parallel = execute_parallel(&best.plan, &reg, EngineConfig::default()).unwrap();
-        assert_eq!(parallel.len(), sequential.results.len());
-        for c in &parallel {
-            assert!(
-                sequential.results.iter().any(|s| {
-                    q.atoms
-                        .iter()
-                        .all(|a| s.component(&a.alias) == c.component(&a.alias))
-                }),
-                "parallel emitted {c} which the sequential run lacks"
-            );
-        }
+        assert_eq!(parallel, sequential.results);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! The state also owns the optional shared [`seco_exec::ExecPool`]:
 //! every thread a daemon execution needs — morsel workers for the join
-//! kernels, background prefetch speculation, pipelined plan-node
-//! fan-out — lives exactly as long as this value. Dropping it (or
+//! kernels and pipelined plan-node fan-out — lives exactly as long as
+//! this value. Dropping it (or
 //! calling [`SharedState::shutdown`]) stops and joins the pool's
 //! workers — nothing spawned on behalf of an execution can outlive the
 //! engine state that requested it.
@@ -35,15 +35,6 @@ use seco_services::{CachingService, CallRecorder, Service, ServiceClient, Virtua
 
 use crate::config::EngineConfig;
 
-/// One service's prepared fetch stack: the outermost handle to call,
-/// plus direct handles on the middleware layers that need consulting
-/// (breaker probes, cache probes).
-pub(crate) type Stack = (
-    Arc<dyn Service>,
-    Option<Arc<ServiceClient>>,
-    Option<Arc<CachingService>>,
-);
-
 /// Clock binding of a stack's resilient client: the deterministic
 /// executor drives a virtual timeline, the pipelined executor real
 /// wall time. The two produce distinct breaker/cooldown dynamics, so a
@@ -56,8 +47,7 @@ enum ClockMode {
 
 /// Cross-request execution state: per-service fetch stacks, the shared
 /// virtual clock, and the daemon's work-stealing executor pool — one
-/// pool shared by every session's morsels, prefetches, and plan-node
-/// tasks. Cheap to share (`Arc<SharedState>`), safe to use from
+/// pool shared by every session's morsels and plan-node tasks. Cheap to share (`Arc<SharedState>`), safe to use from
 /// concurrent sessions.
 ///
 /// Stacks are built lazily from the *first* execution's
@@ -67,13 +57,13 @@ enum ClockMode {
 pub struct SharedState {
     clock: Arc<VirtualClock>,
     pool: Option<Arc<ExecPool>>,
-    stacks: Mutex<BTreeMap<(String, ClockMode), Stack>>,
+    stacks: Mutex<BTreeMap<(String, ClockMode), Arc<dyn Service>>>,
 }
 
 impl SharedState {
-    /// Fresh state with no executor pool: joins run serially and
-    /// background prefetches spawn short-lived threads exactly as the
-    /// one-shot executors always did.
+    /// Fresh state with no executor pool: joins run serially and the
+    /// pipelined executor spawns one scoped thread per plan node,
+    /// exactly as the one-shot executors always did.
     pub fn new() -> Self {
         SharedState {
             clock: VirtualClock::new(),
@@ -82,11 +72,11 @@ impl SharedState {
         }
     }
 
-    /// Daemon-grade state: join morsels, background speculation, and
-    /// plan-node fan-out all run on one work-stealing pool of
-    /// `exec_workers` threads owned by this value and stopped when it
-    /// drops. `exec_workers = 1` keeps the pool for prefetch/fan-out
-    /// but executions take the exact serial join code path.
+    /// Daemon-grade state: join morsels and plan-node fan-out both run
+    /// on one work-stealing pool of `exec_workers` threads owned by
+    /// this value and stopped when it drops. `exec_workers = 1` keeps
+    /// the pool for plan-node fan-out but executions take the exact
+    /// serial join code path.
     pub fn for_daemon(exec_workers: usize) -> Self {
         SharedState {
             clock: VirtualClock::new(),
@@ -121,15 +111,15 @@ impl SharedState {
     }
 
     /// Returns `service`'s prepared stack, building it on first use
-    /// from `options` (resilient client when configured, sharded cache
-    /// when configured, bare recorder otherwise).
+    /// from `options`: the sharded cache when configured, over the
+    /// resilient client when configured, over the bare recorder.
     pub(crate) fn stack_for(
         &self,
         service: &str,
         recorded: &Arc<CallRecorder>,
         options: &EngineConfig,
         wall_clock: bool,
-    ) -> Stack {
+    ) -> Arc<dyn Service> {
         let mode = if wall_clock {
             ClockMode::Wall
         } else {
@@ -140,30 +130,21 @@ impl SharedState {
         if let Some(stack) = stacks.get(&key) {
             return stack.clone();
         }
-        let client = options.client.map(|cfg| {
+        let mut stack: Arc<dyn Service> = recorded.clone();
+        if let Some(cfg) = options.client {
             let builder = ServiceClient::for_recorded(recorded.clone()).config(cfg);
             let builder = if wall_clock {
                 builder.wall_clock()
             } else {
                 builder.virtual_clock(self.clock.clone())
             };
-            Arc::new(builder.build())
-        });
-        let inner: Arc<dyn Service> = match &client {
-            Some(c) => c.clone(),
-            None => recorded.clone(),
-        };
-        let cache = options.fetch.cache().map(|(shards, capacity)| {
-            Arc::new(
-                CachingService::sharded(inner.clone(), capacity, shards)
-                    .with_recorder(recorded.clone()),
-            )
-        });
-        let base: Arc<dyn Service> = match &cache {
-            Some(c) => c.clone(),
-            None => inner,
-        };
-        let stack = (base, client, cache);
+            stack = Arc::new(builder.build());
+        }
+        if let Some((shards, capacity)) = options.fetch.cache() {
+            stack = Arc::new(
+                CachingService::sharded(stack, capacity, shards).with_recorder(recorded.clone()),
+            );
+        }
         stacks.insert(key, stack.clone());
         stack
     }
@@ -186,16 +167,12 @@ mod tests {
             seco_services::domains::entertainment::build_registry(7).expect("registry builds");
         let recorded = registry.service("Movie1").expect("service exists");
         let options = EngineConfig::default().cache_shards(4);
-        let (a, _, cache_a) = state.stack_for("Movie1", &recorded, &options, false);
-        let (b, _, cache_b) = state.stack_for("Movie1", &recorded, &options, false);
+        let a = state.stack_for("Movie1", &recorded, &options, false);
+        let b = state.stack_for("Movie1", &recorded, &options, false);
         assert!(Arc::ptr_eq(&a, &b), "same stack on repeat lookup");
-        assert!(Arc::ptr_eq(
-            cache_a.as_ref().expect("cache configured"),
-            cache_b.as_ref().expect("cache configured"),
-        ));
         assert_eq!(state.stack_count(), 1);
         // Wall-clock mode is a distinct stack (distinct breaker rules).
-        let (w, _, _) = state.stack_for("Movie1", &recorded, &options, true);
+        let w = state.stack_for("Movie1", &recorded, &options, true);
         assert!(!Arc::ptr_eq(&a, &w));
         assert_eq!(state.stack_count(), 2);
     }

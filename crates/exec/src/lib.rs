@@ -2,16 +2,14 @@
 //!
 //! One [`ExecPool`] per daemon (or per `seco run` invocation) replaces
 //! every bespoke thread the engine used to spawn: the optimizer's
-//! phase-2 search workers, the prefetcher's background fetches, the
-//! parallel executor's per-node fan-out, and — new with this crate —
-//! the join kernels' own morsels. The pool has two tiers:
+//! phase-2 search workers, the parallel executor's per-node fan-out,
+//! and the join kernels' own morsels. The pool has two tiers:
 //!
 //! * a **compute tier**: a fixed set of workers (one per configured
-//!   core), each with its own deque, plus a global injector. Idle
-//!   workers first drain their own deque from the front, then the
-//!   injector, then steal from the *back* of a sibling's deque.
-//!   Compute jobs must never block on other compute jobs' channels —
-//!   they are leaves (morsels, optimizer probes, detached prefetches).
+//!   core), each with its own deque. Idle workers first drain their
+//!   own deque from the front, then steal from the *back* of a
+//!   sibling's deque. Compute jobs must never block on other compute
+//!   jobs' channels — they are leaves (morsels, optimizer probes).
 //! * a **blocking tier**: an elastic set of cached threads for tasks
 //!   that rendezvous with each other over channels (the parallel
 //!   executor's plan nodes). Running those on a fixed pool would
@@ -45,17 +43,12 @@ use std::time::Instant;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Maximum queued detached jobs (prefetch speculation). Beyond this
-/// the pool refuses new detached work instead of growing an unbounded
-/// backlog — the same guardrail the dedicated `PrefetchPool` had.
-const DETACHED_BACKLOG: usize = 64;
-
 /// Snapshot of the scheduler counters, for `/stats` and `seco stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecStats {
     /// Configured compute workers.
     pub workers: usize,
-    /// Jobs currently queued (injector + all worker deques).
+    /// Jobs currently queued across all worker deques.
     pub queue_depth: usize,
     /// Jobs taken from a deque other than the thief's own.
     pub steals: u64,
@@ -68,10 +61,6 @@ pub struct ExecStats {
     /// Sum of per-batch `max(longest morsel, sum / workers)` — the
     /// greedy-scheduling lower bound on parallel wall time.
     pub makespan_micros: u64,
-    /// Detached jobs accepted / refused (backlog full or shut down).
-    pub detached_submitted: u64,
-    /// Detached jobs refused.
-    pub detached_rejected: u64,
     /// Live threads: compute workers + cached blocking threads.
     pub threads_alive: usize,
 }
@@ -80,13 +69,11 @@ struct Inner {
     workers: usize,
     /// Per-worker deques; owners pop the front, thieves pop the back.
     queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Global injector for detached jobs and caller overflow.
-    injector: Mutex<VecDeque<Job>>,
     /// Park gate: compute workers wait here when every queue is empty.
     gate: Mutex<()>,
     cv: Condvar,
     stop: AtomicBool,
-    /// Jobs queued but not yet claimed, across injector + deques.
+    /// Jobs queued but not yet claimed, across all deques.
     pending: AtomicUsize,
     /// Round-robin cursor for scope_run distribution.
     cursor: AtomicUsize,
@@ -96,9 +83,6 @@ struct Inner {
     busy_micros: AtomicU64,
     serial_micros: AtomicU64,
     makespan_micros: AtomicU64,
-    detached_submitted: AtomicU64,
-    detached_rejected: AtomicU64,
-    detached_backlog: AtomicUsize,
     threads_alive: AtomicUsize,
 
     /// Blocking tier: elastic queue + free-thread balance. The balance
@@ -129,7 +113,6 @@ impl ExecPool {
         let inner = Arc::new(Inner {
             workers,
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
             gate: Mutex::new(()),
             cv: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -140,9 +123,6 @@ impl ExecPool {
             busy_micros: AtomicU64::new(0),
             serial_micros: AtomicU64::new(0),
             makespan_micros: AtomicU64::new(0),
-            detached_submitted: AtomicU64::new(0),
-            detached_rejected: AtomicU64::new(0),
-            detached_backlog: AtomicUsize::new(0),
             threads_alive: AtomicUsize::new(0),
             blocking_queue: Mutex::new(VecDeque::new()),
             blocking_cv: Condvar::new(),
@@ -170,8 +150,7 @@ impl ExecPool {
     }
 
     /// Number of compute workers. Callers gate their parallel paths on
-    /// `parallelism() > 1`: a one-worker pool exists only so detached
-    /// prefetch jobs have somewhere to run.
+    /// `parallelism() > 1`.
     pub fn parallelism(&self) -> usize {
         self.inner.workers
     }
@@ -193,8 +172,6 @@ impl ExecPool {
             busy_ms: i.busy_micros.load(Ordering::SeqCst) / 1000,
             serial_micros: i.serial_micros.load(Ordering::SeqCst),
             makespan_micros: i.makespan_micros.load(Ordering::SeqCst),
-            detached_submitted: i.detached_submitted.load(Ordering::SeqCst),
-            detached_rejected: i.detached_rejected.load(Ordering::SeqCst),
             threads_alive: i.threads_alive.load(Ordering::SeqCst),
         }
     }
@@ -305,31 +282,6 @@ impl ExecPool {
             resume_unwind(p);
         }
         out
-    }
-
-    /// Queues a detached fire-and-forget job (prefetch speculation) on
-    /// the compute tier. Returns `false` — without running the job —
-    /// when the pool is shutting down or the detached backlog is full.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        let inner = &self.inner;
-        if inner.stop.load(Ordering::SeqCst) {
-            inner.detached_rejected.fetch_add(1, Ordering::SeqCst);
-            return false;
-        }
-        if inner.detached_backlog.fetch_add(1, Ordering::SeqCst) >= DETACHED_BACKLOG {
-            inner.detached_backlog.fetch_sub(1, Ordering::SeqCst);
-            inner.detached_rejected.fetch_add(1, Ordering::SeqCst);
-            return false;
-        }
-        inner.detached_submitted.fetch_add(1, Ordering::SeqCst);
-        let backlog = Arc::clone(inner);
-        self.push_injector(Box::new(move || {
-            // The job itself re-checks any cooperative stop flag it
-            // carries; the pool only guarantees it runs once.
-            job();
-            backlog.detached_backlog.fetch_sub(1, Ordering::SeqCst);
-        }));
-        true
     }
 
     /// Runs channel-rendezvous tasks (plan-node bodies) on the elastic
@@ -452,22 +404,10 @@ impl ExecPool {
         inner.cv.notify_all();
     }
 
-    fn push_injector(&self, job: Job) {
-        let inner = &self.inner;
-        inner.injector.lock().unwrap().push_back(job);
-        inner.pending.fetch_add(1, Ordering::SeqCst);
-        let _g = inner.gate.lock().unwrap();
-        inner.cv.notify_all();
-    }
-
-    /// Pops any queued compute job: injector first, then worker deques
-    /// from the back (a steal). Used by participating scope callers.
+    /// Pops any queued compute job from the back of a worker deque (a
+    /// steal). Used by participating scope callers.
     fn pop_any(&self) -> Option<Job> {
         let inner = &self.inner;
-        if let Some(job) = inner.injector.lock().unwrap().pop_front() {
-            inner.pending.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
         for q in &inner.queues {
             if let Some(job) = q.lock().unwrap().pop_back() {
                 inner.pending.fetch_sub(1, Ordering::SeqCst);
@@ -496,7 +436,7 @@ fn run_job(inner: &Inner, job: Job) {
 
 fn worker_loop(inner: &Inner, me: usize) {
     loop {
-        // Own deque (front), then the injector, then steal (back).
+        // Own deque (front), then steal (back).
         let job = {
             let own = inner.queues[me].lock().unwrap().pop_front();
             match own {
@@ -505,22 +445,17 @@ fn worker_loop(inner: &Inner, me: usize) {
                     Some(job)
                 }
                 None => {
-                    if let Some(job) = inner.injector.lock().unwrap().pop_front() {
-                        inner.pending.fetch_sub(1, Ordering::SeqCst);
-                        Some(job)
-                    } else {
-                        let mut stolen = None;
-                        for off in 1..inner.workers {
-                            let victim = (me + off) % inner.workers;
-                            if let Some(job) = inner.queues[victim].lock().unwrap().pop_back() {
-                                inner.pending.fetch_sub(1, Ordering::SeqCst);
-                                inner.steals.fetch_add(1, Ordering::SeqCst);
-                                stolen = Some(job);
-                                break;
-                            }
+                    let mut stolen = None;
+                    for off in 1..inner.workers {
+                        let victim = (me + off) % inner.workers;
+                        if let Some(job) = inner.queues[victim].lock().unwrap().pop_back() {
+                            inner.pending.fetch_sub(1, Ordering::SeqCst);
+                            inner.steals.fetch_add(1, Ordering::SeqCst);
+                            stolen = Some(job);
+                            break;
                         }
-                        stolen
                     }
+                    stolen
                 }
             }
         };
@@ -602,27 +537,9 @@ mod tests {
     #[test]
     fn one_worker_pool_still_completes_scopes_via_caller_participation() {
         let pool = ExecPool::new(1);
-        // Saturate the single worker with a detached job, then run a
-        // scope: the caller must execute its own morsels.
+        // The caller runs its own morsels alongside the single worker.
         let out = pool.scope_run((0..16).map(|i| move || i).collect::<Vec<_>>());
         assert_eq!(out.len(), 16);
-    }
-
-    #[test]
-    fn detached_submit_runs_and_respects_backlog_bound() {
-        let pool = ExecPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..8 {
-            let hits = Arc::clone(&hits);
-            assert!(pool.submit(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        // Drain: shutdown runs queued jobs before joining.
-        pool.shutdown();
-        assert_eq!(hits.load(Ordering::SeqCst), 8);
-        assert!(!pool.submit(|| {}), "post-shutdown submits are refused");
-        assert!(pool.stats().detached_rejected >= 1);
     }
 
     #[test]

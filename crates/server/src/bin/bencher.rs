@@ -99,7 +99,7 @@ fn boot(name: &str) -> (seco_server::ServerHandle, String, usize) {
         max_sessions: 8192,
         max_concurrent: 16,
         // All sessions share one 4-worker executor pool (morsels,
-        // prefetch speculation, optimizer fan-out, plan-node tasks).
+        // optimizer fan-out, plan-node tasks).
         exec_workers: 4,
         ..Default::default()
     };
@@ -247,10 +247,10 @@ fn bench_section(name: &str, rate: f64, smoke: bool) -> Section {
 /// session sharing the daemon's single executor pool. The gate is a
 /// *flat p95*: quadrupling the session count must not quadruple tail
 /// latency — admission keeps at most `max_concurrent` executions
-/// feeding the pool and the pool's FIFO injector round-robins their
-/// morsels, so added sessions queue at the gate instead of stretching
-/// each other's execution. The flatness slack scales with how far the
-/// offered load exceeds the host's cores (on a single-core host all
+/// feeding the pool and the pool spreads their morsels round-robin over
+/// its FIFO worker deques, so added sessions queue at the gate instead of
+/// stretching each other's execution. The flatness slack scales with how
+/// far the offered load exceeds the host's cores (on a single-core host all
 /// concurrency is time-sliced; on a 4-core host the 4x level rides
 /// the pool's real parallelism).
 fn bench_concurrency(smoke: bool) -> (serde_json::Value, bool) {

@@ -84,8 +84,14 @@ pub fn url_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Reads one request off the connection. `None` on a clean EOF before
-/// any bytes (client connected and went away).
+/// Largest request body the daemon reads. Query bodies are a few
+/// hundred bytes; anything larger is refused before it is allocated.
+pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Reads one request off the connection. `None` when there is nothing
+/// to dispatch: a clean EOF before any bytes (client connected and went
+/// away), or a declared body over [`MAX_BODY_BYTES`], which is answered
+/// with 413 here, before any buffer is sized from the client's header.
 pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Request>> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
@@ -123,6 +129,11 @@ pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Request>> {
             content_length = v.trim().parse().unwrap_or(0);
         }
     }
+    if content_length > MAX_BODY_BYTES {
+        let body = r#"{"error":"request body too large"}"#;
+        respond_json(&mut stream.try_clone()?, 413, body)?;
+        return Ok(None);
+    }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok(Some(Request {
@@ -138,6 +149,7 @@ fn reason(status: u16) -> &'static str {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Content Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
         503 => "Service Unavailable",

@@ -53,12 +53,12 @@ pub struct ServerConfig {
     /// Service-call budget per tenant (0 = unlimited).
     pub tenant_budget: u64,
     /// Worker threads of the shared executor pool: one work-stealing
-    /// pool per daemon runs every session's join morsels, prefetch
-    /// speculation, optimizer fan-out, and plan-node tasks. Fairness
-    /// across sessions comes from the admission gate (at most
+    /// pool per daemon runs every session's join morsels, optimizer
+    /// fan-out, and plan-node tasks. Fairness across sessions comes
+    /// from the admission gate (at most
     /// [`max_concurrent`](Self::max_concurrent) executions feed the
-    /// pool) plus the pool's FIFO injector — no session can monopolize
-    /// workers while another's morsels wait.
+    /// pool) plus the pool's FIFO worker deques, filled round-robin —
+    /// no session can monopolize workers while another's morsels wait.
     pub exec_workers: usize,
 }
 
@@ -308,7 +308,6 @@ impl ServerState {
             "calls": t.calls,
             "cache_hits": t.cache_hits,
             "coalesced": t.coalesced,
-            "prefetches": t.prefetches,
             "retries": t.retries,
             "timeouts": t.timeouts,
             "breaker_trips": t.breaker_trips,
@@ -329,8 +328,6 @@ impl ServerState {
                     "busy_ms": e.busy_ms,
                     "serial_micros": e.serial_micros,
                     "makespan_micros": e.makespan_micros,
-                    "detached_submitted": e.detached_submitted,
-                    "detached_rejected": e.detached_rejected,
                     "threads_alive": e.threads_alive,
                 })
             }),

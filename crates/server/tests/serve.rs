@@ -5,9 +5,11 @@
 //! sessions return byte-identical rows to a serial one-shot engine
 //! run; a statistics promotion in one session's wake invalidates
 //! cached plans for every other session; admission control and tenant
-//! budgets refuse work deterministically; and the streamed frame
+//! budgets refuse work deterministically; oversized request bodies are
+//! refused without taking the daemon down; and the streamed frame
 //! protocol plus the liquid-query continuations behave.
 
+use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use seco_engine::{execute_plan, EngineConfig, ResultSet};
@@ -262,6 +264,21 @@ fn stats_expose_the_interner_growth_counters() {
     let symbols = json_u64(&stats, "interner_symbols").expect("symbol count");
     let bytes = json_u64(&stats, "interner_bytes").expect("byte count");
     assert!(symbols > 0 && bytes >= symbols, "{stats}");
+    stop(handle, &addr);
+}
+
+#[test]
+fn oversized_bodies_are_refused_before_allocation() {
+    let (handle, addr, _, _) = chain_server(ServerConfig::default());
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    conn.write_all(b"POST /query HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n")
+        .expect("send headers");
+    let mut response = String::new();
+    conn.read_to_string(&mut response).expect("read response");
+    assert!(response.starts_with("HTTP/1.1 413 "), "{response}");
+    // The daemon is still up and serving.
+    let (status, _) = http::call(&addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(status, 200);
     stop(handle, &addr);
 }
 

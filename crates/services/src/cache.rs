@@ -224,19 +224,6 @@ impl CachingService {
         self.coalesced.load(Ordering::Relaxed)
     }
 
-    /// True when `request`'s response is already cached or being
-    /// fetched by another thread right now. Lets a prefetcher skip
-    /// speculation that could only land on an existing entry.
-    pub fn contains(&self, request: &Request) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        let key = RequestKey::of(request);
-        let guard = self.lock_shard(&self.shards[key.shard(self.shards.len())]);
-        guard.entries.contains_key(&key.fingerprint())
-            || guard.inflight.contains_key(&key.fingerprint())
-    }
-
     /// Shard-lock acquisitions that had to wait for another thread.
     pub fn lock_contentions(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)

@@ -54,46 +54,12 @@ pub struct CallStats {
     /// Requests that coalesced onto another thread's in-flight call
     /// instead of issuing their own (counted separately from hits).
     pub coalesced: u64,
-    /// Speculative chunk prefetches issued by the fetch layer.
-    pub prefetches: u64,
     /// Deep copies of tuple data performed anywhere in the data plane
     /// (the zero-copy plane keeps this at 0 on cache hits; legacy-style
     /// planes increment it once per copied chunk or row batch).
     pub clone_events: u64,
     /// Wire-equivalent bytes deep-copied by those clone events.
     pub bytes_cloned: u64,
-    /// Hash join indexes built over chunks fed by this service.
-    pub index_builds: u64,
-    /// Join-key bucket lookups probing those indexes.
-    pub probes: u64,
-    /// Candidate pairs skipped without predicate evaluation.
-    pub pairs_skipped: u64,
-    /// Whole join tiles skipped by index or score-bound pruning.
-    pub tiles_pruned: u64,
-    /// Predicate-set evaluations performed by join stages over this
-    /// service's tuples.
-    pub predicate_evals: u64,
-    /// Typed columns scanned (or gathered) by batch predicate kernels
-    /// and column-driven index builds.
-    pub columns_scanned: u64,
-    /// Vectorized predicate-kernel invocations (each covers a whole row
-    /// batch; `predicate_evals` still counts the rows inside).
-    pub batch_evals: u64,
-    /// Rows materialized out of the columnar plane into the row view.
-    pub rows_materialized: u64,
-    /// Service chunks pulled by join kernels (rank join and the paced
-    /// executor both report their call totals here).
-    pub chunks_fetched: u64,
-    /// Chunks the rank join's threshold bound proved unnecessary,
-    /// measured against the full tile space (0 when the space is
-    /// unknown).
-    pub chunks_saved: u64,
-    /// Threshold-bound evaluations performed by the rank join's pull
-    /// loop.
-    pub bound_checks: u64,
-    /// Intermediate composites the n-ary kernel avoided materializing
-    /// (rows a binary cascade would have built at internal stages).
-    pub intermediates_elided: u64,
     /// Times observed statistics were promoted into this service's
     /// effective interface, rolling the registry's stats epoch (and
     /// with it every cached plan fingerprint).
@@ -125,7 +91,6 @@ impl serde::Serialize for CallStats {
             ),
             ("cache_hits".to_string(), self.cache_hits.to_json_value()),
             ("coalesced".to_string(), self.coalesced.to_json_value()),
-            ("prefetches".to_string(), self.prefetches.to_json_value()),
             (
                 "clone_events".to_string(),
                 self.clone_events.to_json_value(),
@@ -133,48 +98,6 @@ impl serde::Serialize for CallStats {
             (
                 "bytes_cloned".to_string(),
                 self.bytes_cloned.to_json_value(),
-            ),
-            (
-                "index_builds".to_string(),
-                self.index_builds.to_json_value(),
-            ),
-            ("probes".to_string(), self.probes.to_json_value()),
-            (
-                "pairs_skipped".to_string(),
-                self.pairs_skipped.to_json_value(),
-            ),
-            (
-                "tiles_pruned".to_string(),
-                self.tiles_pruned.to_json_value(),
-            ),
-            (
-                "predicate_evals".to_string(),
-                self.predicate_evals.to_json_value(),
-            ),
-            (
-                "columns_scanned".to_string(),
-                self.columns_scanned.to_json_value(),
-            ),
-            ("batch_evals".to_string(), self.batch_evals.to_json_value()),
-            (
-                "rows_materialized".to_string(),
-                self.rows_materialized.to_json_value(),
-            ),
-            (
-                "chunks_fetched".to_string(),
-                self.chunks_fetched.to_json_value(),
-            ),
-            (
-                "chunks_saved".to_string(),
-                self.chunks_saved.to_json_value(),
-            ),
-            (
-                "bound_checks".to_string(),
-                self.bound_checks.to_json_value(),
-            ),
-            (
-                "intermediates_elided".to_string(),
-                self.intermediates_elided.to_json_value(),
             ),
             (
                 "epoch_invalidations".to_string(),
@@ -211,21 +134,8 @@ impl CallStats {
         self.short_circuits += other.short_circuits;
         self.cache_hits += other.cache_hits;
         self.coalesced += other.coalesced;
-        self.prefetches += other.prefetches;
         self.clone_events += other.clone_events;
         self.bytes_cloned += other.bytes_cloned;
-        self.index_builds += other.index_builds;
-        self.probes += other.probes;
-        self.pairs_skipped += other.pairs_skipped;
-        self.tiles_pruned += other.tiles_pruned;
-        self.predicate_evals += other.predicate_evals;
-        self.columns_scanned += other.columns_scanned;
-        self.batch_evals += other.batch_evals;
-        self.rows_materialized += other.rows_materialized;
-        self.chunks_fetched += other.chunks_fetched;
-        self.chunks_saved += other.chunks_saved;
-        self.bound_checks += other.bound_checks;
-        self.intermediates_elided += other.intermediates_elided;
         self.epoch_invalidations += other.epoch_invalidations;
         self.replans += other.replans;
     }
@@ -294,11 +204,6 @@ impl CallRecorder {
         self.stats.lock().coalesced += 1;
     }
 
-    /// Records a speculative prefetch issued by the fetch layer.
-    pub fn note_prefetch(&self) {
-        self.stats.lock().prefetches += 1;
-    }
-
     /// Records a deep copy of tuple data (`bytes` in wire-equivalent
     /// size). The zero-copy plane never calls this on its hot paths; it
     /// exists so benchmarks and legacy-style decorators can account for
@@ -307,40 +212,6 @@ impl CallRecorder {
         let mut stats = self.stats.lock();
         stats.clone_events += 1;
         stats.bytes_cloned += bytes as u64;
-    }
-
-    /// Records join-kernel work performed over this service's tuples.
-    /// Takes raw counters (not a join-layer type) because the join crate
-    /// sits above this one in the dependency order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn note_join_counters(
-        &self,
-        index_builds: u64,
-        probes: u64,
-        pairs_skipped: u64,
-        tiles_pruned: u64,
-        predicate_evals: u64,
-        columns_scanned: u64,
-        batch_evals: u64,
-        rows_materialized: u64,
-        chunks_fetched: u64,
-        chunks_saved: u64,
-        bound_checks: u64,
-        intermediates_elided: u64,
-    ) {
-        let mut stats = self.stats.lock();
-        stats.index_builds += index_builds;
-        stats.probes += probes;
-        stats.pairs_skipped += pairs_skipped;
-        stats.tiles_pruned += tiles_pruned;
-        stats.predicate_evals += predicate_evals;
-        stats.columns_scanned += columns_scanned;
-        stats.batch_evals += batch_evals;
-        stats.rows_materialized += rows_materialized;
-        stats.chunks_fetched += chunks_fetched;
-        stats.chunks_saved += chunks_saved;
-        stats.bound_checks += bound_checks;
-        stats.intermediates_elided += intermediates_elided;
     }
 
     /// Records a mid-flight suffix re-plan triggered at this service.
@@ -553,21 +424,8 @@ mod tests {
             short_circuits: 2,
             cache_hits: 4,
             coalesced: 2,
-            prefetches: 5,
             clone_events: 6,
             bytes_cloned: 640,
-            index_builds: 1,
-            probes: 7,
-            pairs_skipped: 20,
-            tiles_pruned: 2,
-            predicate_evals: 9,
-            columns_scanned: 3,
-            batch_evals: 4,
-            rows_materialized: 11,
-            chunks_fetched: 12,
-            chunks_saved: 5,
-            bound_checks: 13,
-            intermediates_elided: 6,
             epoch_invalidations: 2,
             replans: 1,
         };
@@ -583,23 +441,8 @@ mod tests {
             (a.retries, a.timeouts, a.breaker_trips, a.short_circuits),
             (3, 1, 1, 2)
         );
-        assert_eq!((a.cache_hits, a.coalesced, a.prefetches), (4, 2, 5));
+        assert_eq!((a.cache_hits, a.coalesced), (4, 2));
         assert_eq!((a.clone_events, a.bytes_cloned), (6, 640));
-        assert_eq!((a.index_builds, a.probes, a.pairs_skipped), (1, 7, 20));
-        assert_eq!((a.tiles_pruned, a.predicate_evals), (2, 9));
-        assert_eq!(
-            (a.columns_scanned, a.batch_evals, a.rows_materialized),
-            (3, 4, 11)
-        );
-        assert_eq!(
-            (
-                a.chunks_fetched,
-                a.chunks_saved,
-                a.bound_checks,
-                a.intermediates_elided
-            ),
-            (12, 5, 13, 6)
-        );
         assert_eq!((a.epoch_invalidations, a.replans), (2, 1));
         assert_eq!(CallStats::default().mean_call_ms(), 0.0);
     }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full local CI gate: release build, tests, lints, formatting.
+# Full local CI gate: release build, workspace tests, lints, formatting.
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -7,8 +7,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+# --workspace: the root package's tests plus every crate's own suite
+# (exec pool, recorder, cache, server).
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings

@@ -7,7 +7,7 @@
 //! seco run       [--domain D] [--metric M] [--seed N] [--parallel]
 //!                [--exec-workers N]
 //!                [--fault-profile none|flaky|outage] [--deadline-ms N]
-//!                [--cache-shards N] [--prefetch]
+//!                [--cache-shards N]
 //!                [--join-index off|hash] [--tile-prune]
 //!                [--rank-join] [--nary-join]
 //!                [--adaptive] [--adaptive-threshold N]
@@ -26,10 +26,8 @@
 //! annotation, and plan-cache counters after the cost line.
 //!
 //! `--cache-shards N` routes every service call through a sharded,
-//! request-coalescing response cache; `--prefetch` additionally warms
-//! the next chunk speculatively (implying a cache at the default
-//! width). Both report hit / coalesced / prefetch counters after the
-//! answers.
+//! request-coalescing response cache and reports hit / coalesced
+//! counters after the answers.
 //!
 //! `--join-index` selects the join kernel: `hash` (the default) builds
 //! per-chunk hash indexes over equi-join keys and probes them instead
@@ -127,7 +125,6 @@ struct Args {
     fault_profile: String,
     deadline_ms: Option<f64>,
     cache_shards: usize,
-    prefetch: bool,
     join_index: JoinIndexMode,
     tile_prune: bool,
     rank_join: bool,
@@ -158,7 +155,6 @@ fn parse_args() -> Result<Args, String> {
     let mut fault_profile = "none".to_owned();
     let mut deadline_ms = None;
     let mut cache_shards = defaults.fetch.cache_shards;
-    let mut prefetch = defaults.fetch.prefetch;
     let mut join_index = defaults.join_index.mode;
     let mut tile_prune = defaults.join_index.tile_prune;
     let mut rank_join = defaults.rank_join;
@@ -215,7 +211,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
             "--parallel" => parallel = true,
-            "--prefetch" => prefetch = true,
             "--tile-prune" => tile_prune = true,
             "--rank-join" => rank_join = true,
             "--nary-join" => nary_join = true,
@@ -327,7 +322,6 @@ fn parse_args() -> Result<Args, String> {
         fault_profile,
         deadline_ms,
         cache_shards,
-        prefetch,
         join_index,
         tile_prune,
         rank_join,
@@ -352,7 +346,7 @@ fn usage() -> String {
      [--metric execution-time|sum|request-count|bottleneck|time-to-screen] \
      [--seed N] [--workers N] [--exec-workers N] [--parallel] \
      [--fault-profile none|flaky|outage] \
-     [--deadline-ms N] [--cache-shards N] [--prefetch] \
+     [--deadline-ms N] [--cache-shards N] \
      [--join-index off|hash] [--tile-prune] [--rank-join] [--nary-join] \
      [--adaptive] [--adaptive-threshold N] \
      [--columnar on|off] [--batch-eval on|off] \
@@ -507,8 +501,8 @@ fn cmd_run(
     if opts.fetch.enabled() {
         let stats = registry.total_stats();
         println!(
-            "fetch: {} underlying calls, {} cache hits, {} coalesced waits, {} prefetches",
-            stats.calls, stats.cache_hits, stats.coalesced, stats.prefetches
+            "fetch: {} underlying calls, {} cache hits, {} coalesced waits",
+            stats.calls, stats.cache_hits, stats.coalesced
         );
     }
     println!(
@@ -710,7 +704,6 @@ fn main() -> ExitCode {
     // Every flag maps 1:1 onto an `EngineConfig` builder method.
     let mut opts = EngineConfig::default()
         .cache_shards(args.cache_shards)
-        .prefetch(args.prefetch)
         .join_index_mode(args.join_index)
         .tile_prune(args.tile_prune)
         .rank_join(args.rank_join)

@@ -4,14 +4,18 @@
 //! count, both executors must produce exactly the output of the serial
 //! path — same tuples, same order, same join counters — because tile
 //! decomposition only fans out each tile's row loop and a deterministic
-//! ordered reducer stitches the segments back in row order. These tests
-//! pin that contract on the two flagship experiments (E1's travel plan
-//! and E10's running example) and prove that no pool thread outlives
-//! the [`SharedState`] that owns it.
+//! ordered reducer stitches the segments back in row order. And since
+//! both executors run the same node operators at the same plan-derived
+//! join shape, the pipelined executor must return exactly the
+//! deterministic executor's rows, in the same order. These tests pin
+//! both contracts on the two flagship experiments (E1's travel plan and
+//! E10's running example) and on seeded 3-atom stars and chains, and
+//! prove that no pool thread outlives the [`SharedState`] that owns it.
 
 use search_computing::prelude::*;
 use search_computing::query::builder::running_example;
 use search_computing::services::domains::{entertainment, travel};
+use seco_bench::{chain_scenario, star_scenario};
 
 /// The E1 query (Fig. 2/3): Conference × Weather × Flight × Hotel.
 fn e1_query() -> Query {
@@ -30,16 +34,22 @@ fn e1_query() -> Query {
         .unwrap()
 }
 
-/// Runs `query` through both executors at each worker count and
-/// asserts every output is byte-identical to the serial (`workers=1`)
-/// reference — results, degradations, and join counters alike.
-fn assert_identical_across_workers(registry: &ServiceRegistry, query: &Query) {
+/// Runs `query` through both executors at each worker count, with
+/// parallel joins stopping after `join_k` results (0 = no limit), and
+/// asserts every output is byte-identical to the deterministic serial
+/// (`workers=1`) reference — results, degradations, and join counters
+/// alike, the pipelined executor's results included.
+fn assert_identical_across_workers(registry: &ServiceRegistry, query: &Query, join_k: usize) {
     let best = optimize(query, registry, CostMetric::RequestCount).unwrap();
-    let config = |w: usize| EngineConfig::default().exec_workers(w);
+    let config = |w: usize| EngineConfig::default().exec_workers(w).join_k(join_k);
 
     let det_ref = execute_plan(&best.plan, registry, config(1)).unwrap();
     let par_ref = execute_parallel_with(&best.plan, registry, config(1)).unwrap();
     assert!(!det_ref.results.is_empty(), "reference run must answer");
+    assert_eq!(
+        par_ref.results, det_ref.results,
+        "the executors disagree at join_k={join_k}"
+    );
 
     for workers in [2usize, 8] {
         let det = execute_plan(&best.plan, registry, config(workers)).unwrap();
@@ -66,13 +76,33 @@ fn assert_identical_across_workers(registry: &ServiceRegistry, query: &Query) {
 #[test]
 fn e1_travel_plan_is_byte_identical_across_exec_workers() {
     let registry = travel::build_registry(5).unwrap();
-    assert_identical_across_workers(&registry, &e1_query());
+    assert_identical_across_workers(&registry, &e1_query(), 0);
 }
 
 #[test]
 fn e10_running_example_is_byte_identical_across_exec_workers() {
     let registry = entertainment::build_registry(1).unwrap();
-    assert_identical_across_workers(&registry, &running_example());
+    assert_identical_across_workers(&registry, &running_example(), 0);
+}
+
+#[test]
+fn seeded_stars_are_byte_identical_across_executors_and_workers() {
+    for seed in [1, 5, 42] {
+        for join_k in [0, 10] {
+            let (registry, query) = star_scenario(3, seed);
+            assert_identical_across_workers(&registry, &query, join_k);
+        }
+    }
+}
+
+#[test]
+fn seeded_chains_are_byte_identical_across_executors_and_workers() {
+    for seed in [1, 5, 42] {
+        for join_k in [0, 10] {
+            let (registry, query) = chain_scenario(3, seed);
+            assert_identical_across_workers(&registry, &query, join_k);
+        }
+    }
 }
 
 #[test]
@@ -86,13 +116,9 @@ fn no_worker_threads_outlive_shared_state_shutdown() {
         .expect("daemon state owns a pool")
         .clone();
     assert_eq!(pool.threads_alive(), 4);
-    // A full pipelined session exercises every pool tier: plan-node
-    // tasks on the blocking tier, morsels and detached prefetch
-    // speculation on the compute tier.
-    let opts = EngineConfig::default()
-        .exec_workers(4)
-        .cache_shards(4)
-        .prefetch(true);
+    // A full pipelined session exercises both pool tiers: plan-node
+    // tasks on the blocking tier, morsels on the compute tier.
+    let opts = EngineConfig::default().exec_workers(4).cache_shards(4);
     let out = execute_parallel_session(&best.plan, &registry, opts, Some(&shared), None).unwrap();
     assert!(!out.results.is_empty());
     shared.shutdown();

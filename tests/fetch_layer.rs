@@ -1,16 +1,13 @@
 //! End-to-end tests of the fetch layer: singleflight coalescing under
-//! real thread races, the cache/breaker interaction, and speculative
-//! prefetch staying invisible in the results.
+//! real thread races and the cache/breaker interaction.
 
 use std::sync::{Arc, Barrier};
 
-use search_computing::plan::{PlanNode, QueryPlan};
 use search_computing::prelude::*;
 use search_computing::services::synthetic::{DomainMap, SyntheticService};
 use search_computing::services::{
     CachingService, CallRecorder, Request, ServiceError, VirtualClock,
 };
-use seco_bench::chain_scenario;
 use seco_model::{Adornment, AttributeDef, DataType, ServiceKind, ServiceSchema, ServiceStats};
 
 fn service(faults: FaultProfile) -> Arc<SyntheticService> {
@@ -37,16 +34,6 @@ fn service(faults: FaultProfile) -> Arc<SyntheticService> {
 
 fn req(k: &str) -> Request {
     Request::unbound().bind(AttributePath::atomic("K"), Value::text(k))
-}
-
-/// Bumps every service node to a multi-chunk budget so the prefetcher
-/// has something to run ahead of.
-fn widen_fetches(plan: &mut QueryPlan) {
-    for id in plan.node_ids().collect::<Vec<_>>() {
-        if let Ok(PlanNode::Service(s)) = plan.node_mut(id) {
-            s.fetches = 3;
-        }
-    }
 }
 
 #[test]
@@ -117,71 +104,4 @@ fn cache_hit_after_breaker_opens_issues_no_service_call() {
     assert_eq!(resp.elapsed_ms, 0.0, "hits are free");
     assert_eq!(rec.stats().calls, calls_before);
     assert_eq!(rec.stats().cache_hits, 1);
-}
-
-#[test]
-fn prefetch_is_invisible_in_deterministic_results() {
-    let (reg, query) = chain_scenario(3, 7);
-    let best = optimize(&query, &reg, CostMetric::RequestCount).unwrap();
-    let mut plan = best.plan;
-    widen_fetches(&mut plan);
-    let run = |fetch: FetchOptions| {
-        reg.reset_stats();
-        execute_plan(
-            &plan,
-            &reg,
-            EngineConfig {
-                fetch,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-    };
-    let off = run(FetchOptions::cached(4));
-    let on = run(FetchOptions::cached(4).with_prefetch());
-    assert_eq!(
-        format!("{:?}", off.results),
-        format!("{:?}", on.results),
-        "identical seeds must yield byte-identical results, prefetch on or off"
-    );
-    assert!(
-        reg.total_stats().prefetches > 0,
-        "speculation must actually have engaged"
-    );
-}
-
-#[test]
-fn parallel_prefetch_agrees_with_deterministic_results() {
-    let (reg, query) = chain_scenario(3, 7);
-    let best = optimize(&query, &reg, CostMetric::RequestCount).unwrap();
-    let mut plan = best.plan;
-    widen_fetches(&mut plan);
-    let det = execute_plan(
-        &plan,
-        &reg,
-        EngineConfig {
-            fetch: FetchOptions::cached(4),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let par = execute_parallel(
-        &plan,
-        &reg,
-        EngineConfig {
-            fetch: FetchOptions::cached(4).with_prefetch(),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let sorted = |v: &[CompositeTuple]| {
-        let mut s: Vec<String> = v.iter().map(|t| format!("{t:?}")).collect();
-        s.sort();
-        s
-    };
-    assert_eq!(
-        sorted(&det.results),
-        sorted(&par),
-        "the pipelined executor with background prefetch must produce the same set"
-    );
 }

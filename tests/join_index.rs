@@ -346,6 +346,4 @@ fn both_executors_agree_with_and_without_the_index() {
     let par_accel = execute_parallel_with(&plan, &registry, opts_of(HASH)).unwrap();
     assert_eq!(par_base.results, par_accel.results);
     assert!(par_accel.join_stats.index_builds > 0);
-    // The recorders saw the counters too (CLI `join:` line source).
-    assert!(registry.total_stats().predicate_evals > 0);
 }
