@@ -6,7 +6,7 @@
 //!   cargo run --release -p seco-bench --bin join_bench            # full
 //!   cargo run --release -p seco-bench --bin join_bench -- --smoke # CI
 //!
-//! Eight benchmarks:
+//! Five benchmarks:
 //!
 //! * **data-plane** — the chunk→composite→merge path of a tile-space
 //!   join, twice over identical inputs: the zero-copy plane (handle
@@ -20,25 +20,10 @@
 //!   bumps), vs the emulated deep-copy-per-hit baseline;
 //! * **E1** — the Fig. 2/3 travel plan end-to-end, run twice: wall
 //!   clock, combinations, and byte-identical seeded output;
-//! * **index-vs-nested** — the tile-space join at varying equi-join
-//!   selectivity (`Link` domain width 2/10/50) and chunk size (5/20),
-//!   once with the nested-loop kernel (`--join-index off`) and once
-//!   with the hash index (+ tile pruning): byte-identical results are
-//!   asserted, and the candidate pairs actually evaluated must drop
-//!   ≥3× at selectivity ≤ 0.1;
-//! * **columnar-vs-row** — the vectorized batch predicate kernels vs
-//!   the scalar row loop at varying selectivity: a pure predicate
-//!   kernel microbenchmark (≥2× evals/sec at selectivity 0.02) plus a
-//!   full tile-space join under both data planes, byte-identical, with
-//!   the `batch_evals` / `columns_scanned` / `rows_materialized`
-//!   counters reported;
 //! * **rank-vs-full** — the rank-join operator at k=5 on the
 //!   deep-chain scenario (selectivity 0.02, chunk 20) vs full
 //!   enumeration + sort: the top-k must be the sorted prefix with ≥3×
 //!   fewer chunk fetches and a ≥2× faster time-to-kth;
-//! * **nary-vs-cascade** — the n-ary kernel over three services vs
-//!   the materializing two-stage binary cascade: byte-identical, all
-//!   intermediates elided, join-loop wall clock compared;
 //! * **parallel-vs-serial** — the morsel executor at 1/2/4/8 workers
 //!   over large-chunk tile joins (batch-scan and hash-probe configs):
 //!   byte-identical at every count, with measured wall clock and the
@@ -50,7 +35,6 @@ use std::time::Instant;
 use seco_bench::{join_pair, join_pair_with_width};
 use seco_engine::{execute_plan, EngineConfig};
 use seco_join::executor::{JoinOutcome, ParallelJoinExecutor, ServiceStream};
-use seco_join::{ColumnarOptions, JoinIndexMode, JoinIndexOptions};
 use seco_model::{
     AttributePath, Comparator, CompositeTuple, ScoreDecay, SharedTuple, Symbol, Tuple, Value,
 };
@@ -386,27 +370,17 @@ fn bench_e1() -> Result<serde_json::Value, DynError> {
     }))
 }
 
-/// One tile-space join over a seeded service pair, under the given
-/// join-kernel options. Returns the outcome and the wall time in ms.
-fn run_indexed_join(
-    total: usize,
-    chunk: usize,
-    width: usize,
-    options: JoinIndexOptions,
-    columnar: ColumnarOptions,
-) -> Result<(JoinOutcome, f64), DynError> {
-    run_pooled_join(total, chunk, width, options, columnar, None)
-}
-
-/// [`run_indexed_join`] with an optional morsel pool: the kernel fans
+/// One tile-space join over a seeded service pair under the predicate
+/// `X.Link <op> Y.Link`, with an optional morsel pool: the kernel fans
 /// each tile's row loop across the pool's workers and the ordered
-/// reducer reassembles the output in row order.
+/// reducer reassembles the output in row order. `Eq` gives the kernel
+/// an equi key to hash; any other comparator leaves it the compiled
+/// scan. Returns the outcome and the wall time in ms.
 fn run_pooled_join(
     total: usize,
     chunk: usize,
     width: usize,
-    options: JoinIndexOptions,
-    columnar: ColumnarOptions,
+    op: Comparator,
     pool: Option<std::sync::Arc<seco_exec::ExecPool>>,
 ) -> Result<(JoinOutcome, f64), DynError> {
     let (sx, sy) = join_pair_with_width(
@@ -422,7 +396,7 @@ fn run_pooled_join(
     let mut y = ServiceStream::new("Y", sy.as_ref(), req);
     let predicates = vec![ResolvedPredicate::Join(seco_query::JoinPredicate {
         left: seco_query::QualifiedPath::new("X", AttributePath::atomic("Link")),
-        op: Comparator::Eq,
+        op,
         right: seco_query::QualifiedPath::new("Y", AttributePath::atomic("Link")),
     })];
     let mut schemas = SchemaMap::new();
@@ -435,8 +409,6 @@ fn run_pooled_join(
         completion: Completion::Rectangular,
         h: 1,
         k: 0,
-        options,
-        columnar,
         pool,
     };
     let start = Instant::now();
@@ -465,22 +437,26 @@ fn bench_parallel_vs_serial(
     target: f64,
 ) -> Result<serde_json::Value, DynError> {
     let configs = [
-        // Nested loop + batch predicate eval: every row scans the
-        // whole Y tile through the vectorized kernels — the heaviest
-        // per-row work, decomposed as row-segment morsels.
-        ("batch-scan", JoinIndexMode::Off, 10usize),
+        // Nested loop + batch predicate eval: `LIKE` has no hash key,
+        // so every row scans the whole Y tile through the vectorized
+        // kernels — the heaviest per-row work, decomposed as
+        // row-segment morsels. The wildcard-free `Link` values make it
+        // match like `=`, at selectivity 1/width.
+        ("batch-scan", Comparator::Like, 10usize),
         // Hash probe: per-row index probes on a sparse link domain.
-        ("hash-probe", JoinIndexMode::Hash, 50usize),
+        ("hash-probe", Comparator::Eq, 50usize),
     ];
     let mut out_configs = Vec::new();
     let mut speedup_at_4 = f64::INFINITY;
-    for (label, mode, width) in configs {
-        let options = JoinIndexOptions {
-            mode,
-            ..JoinIndexOptions::default()
-        };
-        let columnar = ColumnarOptions::default();
-        let (reference, serial_ms) = run_indexed_join(total, chunk, width, options, columnar)?;
+    for (label, op, width) in configs {
+        let (reference, serial_ms) = run_pooled_join(total, chunk, width, op, None)?;
+        // The cell must measure the kernel its label names.
+        let probed = reference.stats.index_builds > 0;
+        assert_eq!(probed, op == Comparator::Eq, "{label}: wrong kernel");
+        assert!(
+            reference.stats.batch_evals > 0,
+            "{label}: the batch kernels never fired"
+        );
         let mut sweeps = vec![serde_json::json!({
             "workers": 1usize,
             "wall_ms": serial_ms,
@@ -493,8 +469,7 @@ fn bench_parallel_vs_serial(
         })];
         for workers in [2usize, 4, 8] {
             let pool = std::sync::Arc::new(seco_exec::ExecPool::new(workers));
-            let (out, wall_ms) =
-                run_pooled_join(total, chunk, width, options, columnar, Some(pool.clone()))?;
+            let (out, wall_ms) = run_pooled_join(total, chunk, width, op, Some(pool.clone()))?;
             let stats = pool.stats();
             pool.shutdown();
             assert_eq!(
@@ -528,7 +503,9 @@ fn bench_parallel_vs_serial(
         }
         out_configs.push(serde_json::json!({
             "config": label,
-            "mode": format!("{mode:?}"),
+            "predicate": format!("X.Link {op:?} Y.Link"),
+            "index_builds": reference.stats.index_builds,
+            "batch_evals": reference.stats.batch_evals,
             "total": total,
             "chunk": chunk,
             "width": width,
@@ -551,259 +528,6 @@ fn bench_parallel_vs_serial(
         "target": target,
         "pass": pass,
     }))
-}
-
-/// The hash-index kernel vs the nested loop at varying selectivity and
-/// chunk size: byte-identical answers, fewer evaluated candidate pairs.
-fn bench_index_vs_nested(total: usize) -> Result<serde_json::Value, DynError> {
-    let mut cases = Vec::new();
-    for &width in &[2usize, 10, 50] {
-        for &chunk in &[5usize, 20] {
-            let selectivity = 1.0 / width as f64;
-            let (nested, nested_ms) = run_indexed_join(
-                total,
-                chunk,
-                width,
-                JoinIndexOptions {
-                    mode: JoinIndexMode::Off,
-                    tile_prune: false,
-                },
-                ColumnarOptions::default(),
-            )?;
-            let (hashed, hashed_ms) = run_indexed_join(
-                total,
-                chunk,
-                width,
-                JoinIndexOptions {
-                    mode: JoinIndexMode::Hash,
-                    tile_prune: true,
-                },
-                ColumnarOptions::default(),
-            )?;
-            let render = |out: &JoinOutcome| -> String {
-                out.results
-                    .iter()
-                    .map(|c| format!("{:?};", c.materialize()))
-                    .collect()
-            };
-            assert_eq!(
-                render(&nested),
-                render(&hashed),
-                "hash kernel must be byte-identical at width {width}, chunk {chunk}"
-            );
-            assert_eq!(nested.tiles, hashed.tiles);
-            assert_eq!(nested.tile_representatives, hashed.tile_representatives);
-            // The nested loop evaluates the predicates on every
-            // candidate pair; the index only on surviving candidates.
-            let reduction =
-                nested.stats.predicate_evals as f64 / hashed.stats.predicate_evals.max(1) as f64;
-            if selectivity <= 0.1 {
-                assert!(
-                    reduction >= 3.0,
-                    "expected ≥3x fewer evaluated pairs at selectivity {selectivity} \
-                     (chunk {chunk}), got {reduction:.1}x"
-                );
-            }
-            println!(
-                "index-vs-nested (sel {selectivity:.2}, chunk {chunk:>2}): \
-                 nested {} evals / {nested_ms:.1} ms, \
-                 hash {} evals / {hashed_ms:.1} ms ({} probes, {} pairs skipped, \
-                 {} tiles pruned), {reduction:.1}x fewer evals",
-                nested.stats.predicate_evals,
-                hashed.stats.predicate_evals,
-                hashed.stats.probes,
-                hashed.stats.pairs_skipped,
-                hashed.stats.tiles_pruned,
-            );
-            cases.push(serde_json::json!({
-                "selectivity": selectivity,
-                "link_domain_width": width,
-                "chunk_size": chunk,
-                "tuples_per_side": total,
-                "combinations": hashed.results.len(),
-                "byte_identical_to_nested_loop": true,
-                "nested_loop": {
-                    "wall_ms": nested_ms,
-                    "predicate_evals": nested.stats.predicate_evals,
-                },
-                "hash_index": {
-                    "wall_ms": hashed_ms,
-                    "predicate_evals": hashed.stats.predicate_evals,
-                    "index_builds": hashed.stats.index_builds,
-                    "probes": hashed.stats.probes,
-                    "pairs_skipped": hashed.stats.pairs_skipped,
-                    "tiles_pruned": hashed.stats.tiles_pruned,
-                },
-                "candidate_pair_reduction": reduction,
-                "meets_3x_reduction_at_low_selectivity": selectivity > 0.1 || reduction >= 3.0,
-            }));
-        }
-    }
-    Ok(serde_json::Value::Array(cases))
-}
-
-/// The vectorized batch kernels vs the scalar row loop.
-///
-/// Two measurements per selectivity (`Link` domain width 2/10/50, i.e.
-/// 0.5/0.1/0.02):
-///
-/// * a **kernel microbenchmark** — one probe composite evaluated
-///   against a resident chunk of `rows` composites, repeatedly, once
-///   through `BatchPlan::eval_mask` over typed columns and once
-///   through the scalar merge-and-evaluate loop the row plane runs per
-///   candidate. Reports predicate evaluations per second for both and
-///   checks the ≥2× batch speedup target at selectivity 0.02;
-/// * a **full tile-space join** under both data planes
-///   (`ColumnarOptions::default()` vs `row_plane()`): byte-identical
-///   outcomes are asserted and the columnar counters
-///   (`batch_evals`, `columns_scanned`, `rows_materialized`) reported.
-fn bench_columnar_vs_row(total: usize, evals_target: u64) -> Result<serde_json::Value, DynError> {
-    use seco_model::{Adornment, AttributeDef, BitMask, DataType, ServiceSchema};
-    use seco_query::{CompiledPredicates, EvalScratch};
-
-    let schema = ServiceSchema::new(
-        "S",
-        vec![AttributeDef::atomic(
-            "Link",
-            DataType::Int,
-            Adornment::Output,
-        )],
-    )?;
-    let mut cases = Vec::new();
-    for &width in &[2usize, 10, 50] {
-        let selectivity = 1.0 / width as f64;
-
-        // --- kernel microbenchmark ---------------------------------
-        let rows = 4_096usize;
-        let mk = |alias: &str, link: i64, rank: usize| -> CompositeTuple {
-            CompositeTuple::single(
-                alias,
-                Tuple::builder(&schema)
-                    .set("Link", Value::Int(link))
-                    .score(1.0 - rank as f64 / rows as f64)
-                    .source_rank(rank)
-                    .build()
-                    .expect("valid tuple"),
-            )
-        };
-        let probe = mk("X", 0, 0);
-        let chunk: Vec<CompositeTuple> =
-            (0..rows).map(|i| mk("Y", (i % width) as i64, i)).collect();
-        let predicates = vec![ResolvedPredicate::Join(seco_query::JoinPredicate {
-            left: seco_query::QualifiedPath::new("X", AttributePath::atomic("Link")),
-            op: Comparator::Eq,
-            right: seco_query::QualifiedPath::new("Y", AttributePath::atomic("Link")),
-        })];
-        let mut schemas = SchemaMap::new();
-        schemas.insert("X".into(), &schema);
-        schemas.insert("Y".into(), &schema);
-        let compiled =
-            CompiledPredicates::compile(&predicates, &schemas).ok_or("predicates must compile")?;
-        let plan = compiled
-            .batch_plan(&[Symbol::intern("X")], &[Symbol::intern("Y")])
-            .ok_or("equi-join must have a batch plan")?;
-        let columns = plan
-            .gather_columns(&chunk)
-            .ok_or("uniform chunk must gather")?;
-        let refs: Vec<_> = columns.iter().map(|c| c.as_ref()).collect();
-        let reps = (evals_target / rows as u64).max(1);
-
-        let mut mask = BitMask::default();
-        let mut batch_selected = 0u64;
-        let batch_start = Instant::now();
-        for _ in 0..reps {
-            mask.reset_ones(rows);
-            assert!(plan.eval_mask(Some(&probe), &refs, &mut mask));
-            batch_selected += mask.count_ones() as u64;
-        }
-        let batch_secs = batch_start.elapsed().as_secs_f64();
-
-        let mut scratch = EvalScratch::default();
-        let mut scalar_selected = 0u64;
-        let scalar_start = Instant::now();
-        for _ in 0..reps {
-            for y in &chunk {
-                let candidate = probe.merge(y).expect("disjoint atoms merge");
-                if compiled.eval(&candidate, &mut scratch)? {
-                    scalar_selected += 1;
-                }
-            }
-        }
-        let scalar_secs = scalar_start.elapsed().as_secs_f64();
-        assert_eq!(
-            batch_selected, scalar_selected,
-            "kernel and scalar loop must select the same rows at width {width}"
-        );
-        let evals = reps * rows as u64;
-        let batch_eps = evals as f64 / batch_secs.max(1e-9);
-        let scalar_eps = evals as f64 / scalar_secs.max(1e-9);
-        let speedup = batch_eps / scalar_eps;
-
-        // --- full tile-space join under both planes ----------------
-        let (col, col_ms) = run_indexed_join(
-            total,
-            10,
-            width,
-            JoinIndexOptions::default(),
-            ColumnarOptions::default(),
-        )?;
-        let (row, row_ms) = run_indexed_join(
-            total,
-            10,
-            width,
-            JoinIndexOptions::default(),
-            ColumnarOptions::row_plane(),
-        )?;
-        let render = |out: &JoinOutcome| -> String {
-            out.results
-                .iter()
-                .map(|c| format!("{:?};", c.materialize()))
-                .collect()
-        };
-        assert_eq!(
-            render(&col),
-            render(&row),
-            "columnar plane must be byte-identical at width {width}"
-        );
-        assert_eq!(col.stats.predicate_evals, row.stats.predicate_evals);
-        assert_eq!(row.stats.batch_evals, 0);
-        assert_eq!(row.stats.columns_scanned, 0);
-
-        println!(
-            "columnar-vs-row (sel {selectivity:.2}): kernel {batch_eps:.2e} evals/s vs \
-             scalar {scalar_eps:.2e} ({speedup:.1}x); full join {col_ms:.1} ms vs \
-             {row_ms:.1} ms, {} batch evals, {} columns scanned, {} rows materialized",
-            col.stats.batch_evals, col.stats.columns_scanned, col.stats.rows_materialized
-        );
-        cases.push(serde_json::json!({
-            "selectivity": selectivity,
-            "kernel": {
-                "rows_per_batch": rows,
-                "predicate_evals": evals,
-                "batch_evals_per_sec": batch_eps,
-                "scalar_evals_per_sec": scalar_eps,
-                "batch_speedup": speedup,
-                "meets_2x_at_low_selectivity": selectivity > 0.02 || speedup >= 2.0,
-            },
-            "full_join": {
-                "byte_identical_to_row_plane": true,
-                "predicate_evals": col.stats.predicate_evals,
-                "columnar": {
-                    "wall_ms": col_ms,
-                    "batch_evals": col.stats.batch_evals,
-                    "columns_scanned": col.stats.columns_scanned,
-                    "rows_materialized": col.stats.rows_materialized,
-                },
-                "row_plane": {
-                    "wall_ms": row_ms,
-                    "batch_evals": row.stats.batch_evals,
-                    "columns_scanned": row.stats.columns_scanned,
-                    "rows_materialized": row.stats.rows_materialized,
-                },
-            },
-        }));
-    }
-    Ok(serde_json::Value::Array(cases))
 }
 
 /// The rank-join operator vs enumerate-then-sort on the deep-chain
@@ -845,8 +569,6 @@ fn bench_rank_vs_full(total: usize) -> Result<serde_json::Value, DynError> {
         completion: Completion::Rectangular,
         h: 1,
         k: 0,
-        options: JoinIndexOptions::default(),
-        columnar: ColumnarOptions::default(),
         pool: None,
     };
     let mut x = ServiceStream::new("X", sx.as_ref(), req.clone());
@@ -868,8 +590,6 @@ fn bench_rank_vs_full(total: usize) -> Result<serde_json::Value, DynError> {
         completion: Completion::Rectangular,
         h: 1,
         k,
-        options: JoinIndexOptions::default(),
-        columnar: ColumnarOptions::default(),
         pool: None,
     };
     let space = TileSpace::new(
@@ -946,167 +666,6 @@ fn bench_rank_vs_full(total: usize) -> Result<serde_json::Value, DynError> {
     }))
 }
 
-/// The n-ary kernel vs the two-stage binary cascade over three
-/// services: byte-identical answers, all intermediate composites
-/// elided, and a faster join loop.
-fn bench_nary_vs_cascade(rows: usize, iters: usize) -> Result<serde_json::Value, DynError> {
-    use seco_join::executor::MemoryStream;
-    use seco_join::{NaryJoin, NaryStage};
-    use seco_model::{Adornment, AttributeDef, DataType, ScoringFunction, ServiceSchema};
-
-    let width = 10usize;
-    let chunk = 20usize;
-    let schema = |name: &str| -> Result<ServiceSchema, DynError> {
-        Ok(ServiceSchema::new(
-            name,
-            vec![
-                AttributeDef::atomic("Link", DataType::Text, Adornment::Output),
-                AttributeDef::atomic("Score", DataType::Float, Adornment::Ranked),
-            ],
-        )?)
-    };
-    let (sa, sb, sc) = (schema("A")?, schema("B")?, schema("C")?);
-    let f = ScoringFunction::new(ScoreDecay::Linear, rows, chunk)?;
-    let data =
-        |atom: &str, s: &ServiceSchema, phase: usize| -> Result<Vec<CompositeTuple>, DynError> {
-            (0..rows)
-                .map(|i| {
-                    let t = Tuple::builder(s)
-                        .set(
-                            "Link",
-                            Value::Text(format!("hub-{}", (i * 7 + phase) % width)),
-                        )
-                        .set("Score", Value::float(f.score_at(i)))
-                        .score(f.score_at(i))
-                        .source_rank(i)
-                        .build()?;
-                    Ok(CompositeTuple::single(atom, t))
-                })
-                .collect()
-        };
-    let a = data("A", &sa, 0)?;
-    let b = data("B", &sb, 1)?;
-    let c = data("C", &sc, 2)?;
-    let mut schemas = SchemaMap::new();
-    schemas.insert("A".into(), &sa);
-    schemas.insert("B".into(), &sb);
-    schemas.insert("C".into(), &sc);
-    let eq = |la: &str, ra: &str| -> ResolvedPredicate {
-        ResolvedPredicate::Join(seco_query::JoinPredicate {
-            left: seco_query::QualifiedPath::new(la, AttributePath::atomic("Link")),
-            op: Comparator::Eq,
-            right: seco_query::QualifiedPath::new(ra, AttributePath::atomic("Link")),
-        })
-    };
-    let p1 = vec![eq("A", "B")];
-    let p2 = vec![eq("A", "C")];
-    let e1 = ParallelJoinExecutor {
-        predicates: &p1,
-        schemas: &schemas,
-        invocation: Invocation::merge_scan_even(),
-        completion: Completion::Rectangular,
-        h: 1,
-        k: 0,
-        options: JoinIndexOptions::default(),
-        columnar: ColumnarOptions::default(),
-        pool: None,
-    };
-    let e2 = ParallelJoinExecutor {
-        predicates: &p2,
-        pool: None,
-        ..e1
-    };
-
-    // Binary cascade: materialize A⋈B, then join the intermediates
-    // against C through a second full tile-space pass.
-    let mut cascade_out = Vec::new();
-    let mut mid_rows = 0usize;
-    let start = Instant::now();
-    for _ in 0..iters {
-        let mut x = MemoryStream::new(a.clone(), chunk);
-        let mut yb = MemoryStream::new(b.clone(), chunk);
-        let mid = e1.run(&mut x, &mut yb)?.results;
-        mid_rows = mid.len();
-        let mut m = MemoryStream::new(mid, chunk);
-        let mut yc = MemoryStream::new(c.clone(), chunk);
-        cascade_out = e2.run(&mut m, &mut yc)?.results;
-    }
-    let cascade_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // N-ary kernel: one pass, prefix rows stay flat row-id tuples.
-    let s1 = NaryStage {
-        predicates: &p1,
-        invocation: Invocation::merge_scan_even(),
-        completion: Completion::Rectangular,
-        h: 1,
-        k: 0,
-        left_chunk: chunk,
-        right_chunk: chunk,
-    };
-    let s2 = NaryStage {
-        predicates: &p2,
-        ..s1
-    };
-    let nj = NaryJoin {
-        schemas: &schemas,
-        tile_prune: false,
-        pool: None,
-    };
-    let groups = [a, b, c];
-    let stages = [s1, s2];
-    let mut nary_out = None;
-    let start = Instant::now();
-    for _ in 0..iters {
-        nary_out = nj.run(&groups, &stages)?;
-    }
-    let nary_ms = start.elapsed().as_secs_f64() * 1e3;
-    let nary_out = nary_out.ok_or("three uniform ranked services must be n-ary eligible")?;
-
-    let render = |rows: &[CompositeTuple]| -> String {
-        rows.iter()
-            .map(|c| format!("{:?};", c.materialize()))
-            .collect()
-    };
-    assert_eq!(
-        render(&nary_out.results),
-        render(&cascade_out),
-        "n-ary kernel must be byte-identical to the binary cascade"
-    );
-    assert_eq!(
-        nary_out.stats.intermediates_elided as usize, mid_rows,
-        "every intermediate the cascade materialized must be elided"
-    );
-    let speedup = cascade_ms / nary_ms.max(1e-9);
-    assert!(
-        speedup >= 1.0,
-        "n-ary kernel must beat the binary cascade on join-loop wall \
-         clock (cascade {cascade_ms:.1} ms, nary {nary_ms:.1} ms)"
-    );
-    println!(
-        "nary-vs-cascade ({rows}x3 tuples, {iters} iters): \
-         cascade {cascade_ms:.1} ms ({mid_rows} intermediates), \
-         nary {nary_ms:.1} ms ({} elided), {speedup:.2}x join-loop speedup",
-        nary_out.stats.intermediates_elided,
-    );
-    Ok(serde_json::json!({
-        "tuples_per_service": rows,
-        "iters": iters,
-        "chunk_size": chunk,
-        "combinations": nary_out.results.len(),
-        "byte_identical_to_cascade": true,
-        "cascade": {
-            "wall_ms": cascade_ms,
-            "intermediates_materialized": mid_rows,
-        },
-        "nary": {
-            "wall_ms": nary_ms,
-            "intermediates_elided": nary_out.stats.intermediates_elided,
-        },
-        "join_loop_speedup": speedup,
-        "nary_beats_cascade": speedup >= 1.0,
-    }))
-}
-
 /// Tile representatives come off chunk headers: a quick self-check
 /// that the real executor path reports them without rescans.
 fn check_tile_representatives() -> Result<(), DynError> {
@@ -1129,8 +688,6 @@ fn check_tile_representatives() -> Result<(), DynError> {
         completion: Completion::Rectangular,
         h: 1,
         k: 0,
-        options: JoinIndexOptions::default(),
-        columnar: ColumnarOptions::default(),
         pool: None,
     };
     let out = exec.run(&mut x, &mut y)?;
@@ -1156,13 +713,7 @@ fn main() -> Result<(), DynError> {
         "data_plane": bench_data_plane(iters, total, 10)?,
         "cache_hits": bench_cache_hits(hits)?,
         "e1": bench_e1()?,
-        "index_vs_nested": bench_index_vs_nested(total)?,
-        "columnar_vs_row": bench_columnar_vs_row(total, if smoke { 500_000 } else { 5_000_000 })?,
         "rank_vs_full": bench_rank_vs_full(if smoke { 400 } else { 1_000 })?,
-        "nary_vs_cascade": bench_nary_vs_cascade(
-            if smoke { 100 } else { 200 },
-            if smoke { 3 } else { 10 },
-        )?,
         "parallel_vs_serial": if smoke {
             // CI floor: the modeled speedup must clear 1.3x at 4
             // workers even on the small smoke shapes.

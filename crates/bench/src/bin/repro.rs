@@ -312,8 +312,6 @@ fn run_join(
         completion,
         h,
         k,
-        options: seco_join::JoinIndexOptions::default(),
-        columnar: seco_join::ColumnarOptions::default(),
         pool: None,
     };
     let out = exec.run(&mut x, &mut y)?;
@@ -1024,8 +1022,6 @@ fn e17() -> Result<(), DynError> {
             completion: Completion::Triangular,
             h: 1,
             k,
-            options: seco_join::JoinIndexOptions::default(),
-            columnar: seco_join::ColumnarOptions::default(),
             pool: None,
         };
         let out = exec.run(&mut x, &mut y)?;

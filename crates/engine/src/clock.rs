@@ -341,8 +341,6 @@ mod tests {
             completion: Completion::Rectangular,
             h: 1,
             k: 0,
-            options: seco_join::JoinIndexOptions::default(),
-            columnar: seco_join::ColumnarOptions::default(),
             pool: None,
         };
         // Clock-paced run at ratio 1:3.

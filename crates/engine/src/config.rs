@@ -1,14 +1,14 @@
 //! The consolidated engine configuration.
 //!
 //! [`EngineConfig`] gathers everything that used to be spread across
-//! the historical `ExecOptions`, [`FetchOptions`], [`JoinIndexOptions`],
-//! and the columnar-plane switches into one builder-style value — the
-//! single configuration surface of the engine and of `seco serve`.
+//! the historical `ExecOptions` and [`FetchOptions`] into one
+//! builder-style value — the single configuration surface of the engine
+//! and of `seco serve`. The join kernel itself has no switches: it picks
+//! hash probe, compiled scan, or batch kernels from its inputs.
 //! Every `seco run` CLI flag maps 1:1 to a builder method, and both
 //! executors ([`crate::execute_plan`] and [`crate::execute_parallel`])
 //! consume it directly.
 
-use seco_join::{ColumnarOptions, JoinIndexMode, JoinIndexOptions};
 use seco_optimizer::CostMetric;
 use seco_services::ClientConfig;
 
@@ -24,9 +24,7 @@ use crate::executor::{FailureMode, FetchOptions};
 /// let config = EngineConfig::default()
 ///     .join_k(10)
 ///     .failure_mode(FailureMode::Degrade)
-///     .cache_shards(8)
-///     .columnar(true)
-///     .batch_eval(true);
+///     .cache_shards(8);
 /// assert_eq!(config.join_k, 10);
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -46,25 +44,12 @@ pub struct EngineConfig {
     /// *above* the resilient client, so hits and coalesced waits bypass
     /// retries and breaker checks entirely.
     pub fetch: FetchOptions,
-    /// Join-kernel configuration: hash-index acceleration of tile and
-    /// pipe joins, and top-k tile pruning. The default (`Hash`, no
-    /// pruning) is byte-identical to the nested-loop baseline.
-    pub join_index: JoinIndexOptions,
-    /// Columnar data-plane configuration: column-backed key extraction
-    /// and vectorized batch predicate evaluation. The default (both on)
-    /// is byte-identical to the row-at-a-time plane.
-    pub columnar: ColumnarOptions,
     /// Runs parallel joins as true top-k rank joins when `join_k > 0`:
     /// score-sorted inputs, a threshold bound over the unseen frontier,
     /// and chunk fetches that stop as soon as the k-th buffered result
     /// meets the bound. Output is the score-correct k-prefix of the
     /// full enumeration (off by default).
     pub rank_join: bool,
-    /// Fuses chains of parallel joins into the single-pass n-ary kernel
-    /// when the plan is eligible, eliding intermediate composites.
-    /// Output stays byte-identical to the binary cascade (off by
-    /// default).
-    pub nary_join: bool,
     /// Adaptive re-optimization: after each fresh service or join stage,
     /// compare observed output cardinality against the plan-time
     /// estimate; when they deviate past [`adaptive_threshold`]
@@ -82,10 +67,9 @@ pub struct EngineConfig {
     /// Worker count of the shared morsel executor pool. `1` (the
     /// default) takes the exact serial join code path — no pool is
     /// consulted and output is the byte-identical baseline. Larger
-    /// values decompose tile joins, n-ary intersections, and batch
-    /// predicate evaluation into morsels on a work-stealing pool; a
-    /// deterministic ordered reducer keeps output byte-identical to
-    /// serial at any worker count.
+    /// values decompose tile joins into row-range morsels on a
+    /// work-stealing pool; a deterministic ordered reducer keeps output
+    /// byte-identical to serial at any worker count.
     pub exec_workers: usize,
 }
 
@@ -96,10 +80,7 @@ impl Default for EngineConfig {
             failure_mode: FailureMode::default(),
             client: None,
             fetch: FetchOptions::default(),
-            join_index: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
             rank_join: false,
-            nary_join: false,
             adaptive: false,
             adaptive_threshold: 10.0,
             adaptive_metric: CostMetric::ExecutionTime,
@@ -145,41 +126,10 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the candidate-enumeration mode of tile joins.
-    pub fn join_index_mode(mut self, mode: JoinIndexMode) -> Self {
-        self.join_index.mode = mode;
-        self
-    }
-
-    /// Enables or disables the score-frontier tile bound.
-    pub fn tile_prune(mut self, on: bool) -> Self {
-        self.join_index.tile_prune = on;
-        self
-    }
-
-    /// Enables or disables column-wise consumption of chunk bodies
-    /// (columnar hash-key extraction, zero-copy kernel inputs).
-    pub fn columnar(mut self, on: bool) -> Self {
-        self.columnar.columnar = on;
-        self
-    }
-
-    /// Enables or disables vectorized batch predicate evaluation.
-    pub fn batch_eval(mut self, on: bool) -> Self {
-        self.columnar.batch_eval = on;
-        self
-    }
-
     /// Enables or disables the top-k rank join (effective when
     /// `join_k > 0`).
     pub fn rank_join(mut self, on: bool) -> Self {
         self.rank_join = on;
-        self
-    }
-
-    /// Enables or disables n-ary fusion of parallel-join chains.
-    pub fn nary_join(mut self, on: bool) -> Self {
-        self.nary_join = on;
         self
     }
 
@@ -220,12 +170,7 @@ mod tests {
             .client(ClientConfig::default())
             .cache_shards(4)
             .cache_capacity(128)
-            .join_index_mode(JoinIndexMode::Off)
-            .tile_prune(true)
-            .columnar(false)
-            .batch_eval(false)
             .rank_join(true)
-            .nary_join(true)
             .adaptive(true)
             .adaptive_threshold(4.0)
             .adaptive_metric(CostMetric::RequestCount)
@@ -235,11 +180,7 @@ mod tests {
         assert!(cfg.client.is_some());
         assert_eq!(cfg.fetch.cache_shards, 4);
         assert_eq!(cfg.fetch.cache_capacity, 128);
-        assert_eq!(cfg.join_index.mode, JoinIndexMode::Off);
-        assert!(cfg.join_index.tile_prune);
-        assert!(!cfg.columnar.columnar);
-        assert!(!cfg.columnar.batch_eval);
-        assert!(cfg.rank_join && cfg.nary_join);
+        assert!(cfg.rank_join);
         assert!(cfg.adaptive);
         assert_eq!(cfg.adaptive_threshold, 4.0);
         assert_eq!(cfg.adaptive_metric, CostMetric::RequestCount);
@@ -249,12 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn defaults_keep_the_columnar_plane_on() {
+    fn defaults_are_the_serial_exact_engine() {
         let cfg = EngineConfig::default();
-        assert!(cfg.columnar.columnar && cfg.columnar.batch_eval);
-        assert_eq!(cfg.join_index.mode, JoinIndexMode::Hash);
-        assert!(!cfg.join_index.tile_prune);
-        assert!(!cfg.rank_join && !cfg.nary_join);
+        assert!(!cfg.rank_join);
         assert!(!cfg.adaptive, "adaptive must default off (byte-identity)");
         assert_eq!(cfg.adaptive_threshold, 10.0);
         assert_eq!(cfg.adaptive_metric, CostMetric::ExecutionTime);

@@ -270,7 +270,6 @@ fn run_pass(
     };
     let clock = state.clock().clone();
     let ops = Operators::new(plan, registry, options, state)?;
-    let fusion = ops.fusion()?;
 
     let order = plan.topo_order()?;
     let mut outputs: Vec<Vec<CompositeTuple>> = vec![Vec::new(); plan.len()];
@@ -378,23 +377,6 @@ fn run_pass(
                     }
                     (input.len(), outcome.results, outcome.calls, busy_ms, deg)
                 }
-                PlanNode::ParallelJoin(_) if fusion.elided[id.0] => {
-                    // Absorbed into a downstream n-ary fusion: the
-                    // chain's top join consumes this node's inputs
-                    // directly.
-                    let deg = node_degraded[preds_nodes[0].0] || node_degraded[preds_nodes[1].0];
-                    (0, Vec::new(), 0, 0.0, deg)
-                }
-                PlanNode::ParallelJoin(_) if fusion.chains.contains_key(&id.0) => {
-                    let chain = &fusion.chains[&id.0];
-                    let feeders = ops.chain_feeders(chain);
-                    let groups: Vec<Vec<CompositeTuple>> =
-                        feeders.iter().map(|g| outputs[g.0].clone()).collect();
-                    let group_deg: Vec<bool> = feeders.iter().map(|g| node_degraded[g.0]).collect();
-                    let n_in = groups.iter().map(Vec::len).sum();
-                    let out = ops.fused_chain(chain, groups, &group_deg, &mut join_stats)?;
-                    (n_in, out, 0, 0.0, group_deg.contains(&true))
-                }
                 PlanNode::ParallelJoin(_) => {
                     let left = outputs[preds_nodes[0].0].clone();
                     let right = outputs[preds_nodes[1].0].clone();
@@ -427,7 +409,7 @@ fn run_pass(
         if let Some(est) = &estimates {
             let stage_key = match plan.node(id)? {
                 PlanNode::Service(s) => Some(format!("svc:{}", s.atom)),
-                PlanNode::ParallelJoin(_) if !fusion.elided[id.0] => {
+                PlanNode::ParallelJoin(_) => {
                     let atoms: Vec<String> = plan.atoms_at(id).into_iter().collect();
                     Some(format!("join:{}", atoms.join(",")))
                 }

@@ -40,7 +40,7 @@ pub use output::ResultSet;
 pub use parallel::{
     execute_parallel, execute_parallel_session, execute_parallel_with, BatchSink, ParallelOutcome,
 };
-pub use seco_join::{ColumnarOptions, JoinIndexMode, JoinIndexOptions, JoinStats};
+pub use seco_join::JoinStats;
 pub use shared::SharedState;
 pub use trace::{ExecutionTrace, TraceEvent};
 

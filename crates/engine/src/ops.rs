@@ -5,9 +5,8 @@
 //! ([`crate::executor`]) walks the plan in topological order and the
 //! pipelined executor ([`crate::parallel`]) connects node tasks by
 //! channels, but both evaluate every node through the operators below —
-//! pipe-join stages, selections, binary parallel joins, and fused n-ary
-//! chains — with every join read at the shape [`JoinShape::of`] derives
-//! from the plan. Both therefore return the same rows in the same
+//! pipe-join stages, selections, and parallel joins — with every join
+//! read at the shape [`JoinShape::of`] derives from the plan. Both therefore return the same rows in the same
 //! order; the executors only schedule nodes and track degradation.
 
 use std::collections::BTreeMap;
@@ -15,12 +14,9 @@ use std::sync::Arc;
 
 use seco_exec::ExecPool;
 use seco_join::executor::MemoryStream;
-use seco_join::{
-    score_order, JoinStats, NaryJoin, NaryStage, ParallelJoinExecutor, PipeJoin, PipeOutcome,
-    RankJoin,
-};
+use seco_join::{score_order, JoinStats, ParallelJoinExecutor, PipeJoin, PipeOutcome, RankJoin};
 use seco_model::{BitMask, Column, CompositeTuple, ServiceInterface};
-use seco_plan::{JoinSpec, NodeId, PlanNode, QueryPlan, SelectionNode, ServiceNode};
+use seco_plan::{NodeId, PlanNode, QueryPlan, SelectionNode, ServiceNode};
 use seco_query::feasibility::analyze;
 use seco_query::predicate::{
     resolve_predicates, satisfies_available, ResolvedPredicate, SchemaMap,
@@ -77,14 +73,6 @@ fn nearest_service<'r>(
         cursor = plan.predecessors(id).first().copied();
     }
     None
-}
-
-/// Left-deep chains of parallel joins the n-ary kernel fuses: per-node
-/// elision flags, and each chain's join nodes bottom-up keyed by the
-/// chain's top join.
-pub(crate) struct Fusion {
-    pub(crate) elided: Vec<bool>,
-    pub(crate) chains: BTreeMap<usize, Vec<NodeId>>,
 }
 
 /// Everything the operators of one plan execution share: the resolved
@@ -147,57 +135,6 @@ impl<'a> Operators<'a> {
         self.options.failure_mode == FailureMode::Degrade
     }
 
-    /// The chains the n-ary kernel fuses under the options: none unless
-    /// `nary_join` is on. Rank join takes precedence — its score-sorted
-    /// top-k inputs cannot replay the cascade's exploration.
-    ///
-    /// A join is *absorbable* when its only consumer is another parallel
-    /// join taking it as the **left** input; the chain's top join then
-    /// replays every stage in one pass.
-    pub(crate) fn fusion(&self) -> Result<Fusion, EngineError> {
-        let plan = self.plan;
-        let mut fusion = Fusion {
-            elided: vec![false; plan.len()],
-            chains: BTreeMap::new(),
-        };
-        if !self.options.nary_join || self.options.rank_join {
-            return Ok(fusion);
-        }
-        let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); plan.len()];
-        for (from, to) in plan.edges() {
-            succs[from.0].push(*to);
-        }
-        let is_join = |id: NodeId| matches!(plan.node(id), Ok(PlanNode::ParallelJoin(_)));
-        let absorbable = |id: NodeId| {
-            is_join(id)
-                && succs[id.0].len() == 1
-                && is_join(succs[id.0][0])
-                && plan.predecessors(succs[id.0][0]).first() == Some(&id)
-        };
-        for id in plan.topo_order()? {
-            if !is_join(id) || absorbable(id) {
-                continue;
-            }
-            let mut chain = vec![id];
-            let mut cur = id;
-            while let Some(&l) = plan.predecessors(cur).first() {
-                if !absorbable(l) {
-                    break;
-                }
-                chain.push(l);
-                cur = l;
-            }
-            if chain.len() >= 2 {
-                chain.reverse();
-                for j in &chain[..chain.len() - 1] {
-                    fusion.elided[j.0] = true;
-                }
-                fusion.chains.insert(id.0, chain);
-            }
-        }
-        Ok(fusion)
-    }
-
     /// The pipe-join stage of service node `node` (§4.2.1).
     pub(crate) fn service_stage<'s>(&'s self, node: &'s ServiceNode) -> ServiceStage<'s> {
         ServiceStage {
@@ -228,132 +165,34 @@ impl<'a> Operators<'a> {
         Ok(Selection { ops: self, preds })
     }
 
-    /// Runs parallel-join node `id` over its buffered branches and feeds
-    /// the observed selectivity back to the registry: every query
-    /// pattern connecting the two branches is credited with the
+    /// Runs parallel-join node `id` (§4.2.2) over its two buffered
+    /// branches: a true top-k rank join over score-sorted inputs when
+    /// `rank_join` is on with a `join_k` target and no input is
+    /// degraded; otherwise the tile-space join, passing a surviving
+    /// branch through under [`FailureMode::Degrade`].
+    ///
+    /// The observed selectivity is fed back to the registry: every
+    /// query pattern connecting the two branches is credited with the
     /// candidate pairs and the survivors.
     pub(crate) fn parallel_join(
         &self,
         id: NodeId,
-        left: Vec<CompositeTuple>,
-        right: Vec<CompositeTuple>,
-        degraded: (bool, bool),
-        stats: &mut JoinStats,
-    ) -> Result<Vec<CompositeTuple>, EngineError> {
-        let spec = self.join_spec(id)?;
-        let pairs = (left.len() * right.len()) as u64;
-        let shape = JoinShape::of(self.plan, self.registry, id);
-        let results = self.binary_join(spec, shape, left, right, degraded, stats)?;
-
-        let inputs = self.plan.predecessors(id);
-        let left_atoms = self.plan.atoms_at(inputs[0]);
-        let right_atoms = self.plan.atoms_at(inputs[1]);
-        for p in &self.plan.query.patterns {
-            let lr = left_atoms.contains(&p.from_atom) && right_atoms.contains(&p.to_atom);
-            let rl = right_atoms.contains(&p.from_atom) && left_atoms.contains(&p.to_atom);
-            if lr || rl {
-                self.registry
-                    .note_join_observation(&p.pattern, pairs, results.len() as u64);
-            }
-        }
-        Ok(results)
-    }
-
-    /// The feeders of fused `chain`, in group order: the bottom join's
-    /// two inputs, then every later join's right input.
-    pub(crate) fn chain_feeders(&self, chain: &[NodeId]) -> Vec<NodeId> {
-        let mut feeders = self.plan.predecessors(chain[0]);
-        for j in &chain[1..] {
-            feeders.push(self.plan.predecessors(*j)[1]);
-        }
-        feeders
-    }
-
-    /// Runs fused `chain` over the outputs of its feeders
-    /// ([`Operators::chain_feeders`]): the n-ary kernel when no group is
-    /// degraded and the inputs meet its preconditions, else the binary
-    /// cascade the fusion replaced, with its per-stage pass-through of
-    /// degraded inputs. Both produce the same rows.
-    pub(crate) fn fused_chain(
-        &self,
-        chain: &[NodeId],
-        groups: Vec<Vec<CompositeTuple>>,
-        group_degraded: &[bool],
-        stats: &mut JoinStats,
-    ) -> Result<Vec<CompositeTuple>, EngineError> {
-        let mut stages = Vec::with_capacity(chain.len());
-        for j in chain {
-            let spec = self.join_spec(*j)?;
-            stages.push((
-                spec,
-                join_predicates(spec),
-                JoinShape::of(self.plan, self.registry, *j),
-            ));
-        }
-        if !group_degraded.contains(&true) {
-            let nary: Vec<NaryStage<'_>> = stages
-                .iter()
-                .map(|(spec, predicates, shape)| NaryStage {
-                    predicates,
-                    invocation: spec.invocation,
-                    completion: spec.completion,
-                    h: shape.h,
-                    k: self.options.join_k,
-                    left_chunk: shape.left_chunk,
-                    right_chunk: shape.right_chunk,
-                })
-                .collect();
-            let kernel = NaryJoin {
-                schemas: &self.schemas,
-                tile_prune: self.options.join_index.tile_prune,
-                pool: self.pool.clone(),
-            };
-            if let Some(out) = kernel.run(&groups, &nary)? {
-                stats.merge(&out.stats);
-                return Ok(out.results);
-            }
-        }
-        let mut groups = groups.into_iter();
-        let mut cur = groups.next().unwrap_or_default();
-        let mut cur_degraded = group_degraded[0];
-        for ((spec, _, shape), (right, &right_degraded)) in
-            stages.iter().zip(groups.zip(&group_degraded[1..]))
-        {
-            cur = self.binary_join(
-                spec,
-                *shape,
-                cur,
-                right,
-                (cur_degraded, right_degraded),
-                stats,
-            )?;
-            cur_degraded |= right_degraded;
-        }
-        Ok(cur)
-    }
-
-    fn join_spec(&self, id: NodeId) -> Result<&'a JoinSpec, EngineError> {
-        match self.plan.node(id)? {
-            PlanNode::ParallelJoin(spec) => Ok(spec),
-            _ => unreachable!("join operators run on parallel-join nodes only"),
-        }
-    }
-
-    /// One binary parallel join (§4.2.2) over two buffered branches:
-    /// a true top-k rank join over score-sorted inputs when `rank_join`
-    /// is on with a `join_k` target and no input is degraded; otherwise
-    /// the tile-space join, passing a surviving branch through under
-    /// [`FailureMode::Degrade`].
-    fn binary_join(
-        &self,
-        spec: &JoinSpec,
-        shape: JoinShape,
         mut left: Vec<CompositeTuple>,
         mut right: Vec<CompositeTuple>,
         (left_degraded, right_degraded): (bool, bool),
         stats: &mut JoinStats,
     ) -> Result<Vec<CompositeTuple>, EngineError> {
-        let predicates = join_predicates(spec);
+        let PlanNode::ParallelJoin(spec) = self.plan.node(id)? else {
+            unreachable!("join operators run on parallel-join nodes only");
+        };
+        let pairs = (left.len() * right.len()) as u64;
+        let shape = JoinShape::of(self.plan, self.registry, id);
+        let predicates: Vec<ResolvedPredicate> = spec
+            .predicates
+            .iter()
+            .cloned()
+            .map(ResolvedPredicate::Join)
+            .collect();
         let join = ParallelJoinExecutor {
             predicates: &predicates,
             schemas: &self.schemas,
@@ -361,8 +200,6 @@ impl<'a> Operators<'a> {
             completion: spec.completion,
             h: shape.h,
             k: self.options.join_k,
-            options: self.options.join_index,
-            columnar: self.options.columnar,
             pool: self.pool.clone(),
         };
         let degrade = self.degrade();
@@ -384,16 +221,23 @@ impl<'a> Operators<'a> {
             join.run(&mut sl, &mut sr)?
         };
         stats.merge(&outcome.stats);
+
+        let inputs = self.plan.predecessors(id);
+        let left_atoms = self.plan.atoms_at(inputs[0]);
+        let right_atoms = self.plan.atoms_at(inputs[1]);
+        for p in &self.plan.query.patterns {
+            let lr = left_atoms.contains(&p.from_atom) && right_atoms.contains(&p.to_atom);
+            let rl = right_atoms.contains(&p.from_atom) && left_atoms.contains(&p.to_atom);
+            if lr || rl {
+                self.registry.note_join_observation(
+                    &p.pattern,
+                    pairs,
+                    outcome.results.len() as u64,
+                );
+            }
+        }
         Ok(outcome.results)
     }
-}
-
-fn join_predicates(spec: &JoinSpec) -> Vec<ResolvedPredicate> {
-    spec.predicates
-        .iter()
-        .cloned()
-        .map(ResolvedPredicate::Join)
-        .collect()
 }
 
 /// A service node's pipe-join stage, ready to run over input batches.
@@ -422,7 +266,6 @@ impl ServiceStage<'_> {
             fetches: self.node.fetches as usize,
             keep_first: self.node.keep_first,
             tolerate_failures: ops.degrade(),
-            columnar: ops.options.columnar,
         }
         .run(input, service)?;
         stats.merge(&outcome.stats);
@@ -439,8 +282,8 @@ pub(crate) struct Selection<'s> {
 impl Selection<'_> {
     /// Keeps the input composites that satisfy the node's predicates.
     ///
-    /// With `batch_eval` on, a uniform input (same atom signature on
-    /// every composite) is filtered by one vectorized kernel over
+    /// A uniform input (same atom signature on every composite) is
+    /// filtered by one vectorized kernel over
     /// columns gathered from the composites; any failed precondition —
     /// or a value only the scalar path can decide — falls back to the
     /// interpreted per-composite check, which also reproduces its error
@@ -453,10 +296,7 @@ impl Selection<'_> {
         stats: &mut JoinStats,
     ) -> Result<Vec<CompositeTuple>, EngineError> {
         let schemas = &self.ops.schemas;
-        if self.ops.options.columnar.batch_eval
-            && input.len() > 1
-            && input.iter().all(|c| c.atoms == input[0].atoms)
-        {
+        if input.len() > 1 && input.iter().all(|c| c.atoms == input[0].atoms) {
             if let Some(plan) = CompiledPredicates::compile(&self.preds, schemas)
                 .and_then(|c| c.batch_plan(&[], &input[0].atoms))
             {

@@ -214,7 +214,6 @@ pub fn execute_parallel_session(
     };
     let ops = Operators::new(plan, registry, options, state)?;
     let ops = &ops;
-    let fusion = ops.fusion()?;
     let degrade = options.failure_mode == FailureMode::Degrade;
 
     // Which services feed each node, so a rendezvous join can attribute
@@ -234,39 +233,13 @@ pub fn execute_parallel_session(
         ancestors[id.0] = set;
     }
 
-    // Channel rerouting for fused chains: edges into an absorbed join
-    // deliver straight to the chain's top join (tagged with their group
-    // index) and the chain's internal edges disappear, so the absorbed
-    // joins never spawn.
-    let mut skip_edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut routes: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
-    for (top, chain) in &fusion.chains {
-        for (gi, feeder) in ops.chain_feeders(chain).into_iter().enumerate() {
-            let consumer = chain[gi.saturating_sub(1)];
-            routes
-                .entry((feeder.0, consumer.0))
-                .or_default()
-                .push((*top, gi));
-        }
-        for pair in chain.windows(2) {
-            skip_edges.insert((pair[0].0, pair[1].0));
-        }
-    }
-
     // One channel per arc, carrying shared batches of tuples.
     let mut senders: Vec<Vec<Sender<Batch>>> = vec![Vec::new(); plan.len()];
     let mut receivers: Vec<Vec<Receiver<Batch>>> = vec![Vec::new(); plan.len()];
-    let mut extra_rx: Vec<Vec<(usize, Receiver<Batch>)>> = vec![Vec::new(); plan.len()];
     for (from, to) in plan.edges() {
-        if skip_edges.contains(&(from.0, to.0)) {
-            continue;
-        }
         let (tx, rx) = bounded(ARC_CAPACITY);
         senders[from.0].push(tx);
-        match routes.get_mut(&(from.0, to.0)).and_then(Vec::pop) {
-            Some((top, gi)) => extra_rx[top].push((gi, rx)),
-            None => receivers[to.0].push(rx),
-        }
+        receivers[to.0].push(rx);
     }
 
     // One fetch stack per service, shared by every node (and thread)
@@ -310,11 +283,6 @@ pub fn execute_parallel_session(
 
     let mut node_tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
     for id in plan.node_ids() {
-        if fusion.elided[id.0] {
-            // Absorbed into a fused chain: its channels were rerouted
-            // to the chain top, so there is nothing to run.
-            continue;
-        }
         let node = match plan.node(id) {
             Ok(n) => n,
             Err(e) => {
@@ -324,8 +292,6 @@ pub fn execute_parallel_session(
         };
         let my_senders = std::mem::take(&mut senders[id.0]);
         let my_receivers = std::mem::take(&mut receivers[id.0]);
-        let my_extra = std::mem::take(&mut extra_rx[id.0]);
-        let chain = fusion.chains.get(&id.0);
         let my_preds = plan.predecessors(id);
         let first_error = &first_error;
         let output = &output;
@@ -398,33 +364,14 @@ pub fn execute_parallel_session(
                     Vec::new()
                 }
                 PlanNode::ParallelJoin(_) => {
-                    let joined = match chain {
-                        // N-ary rendezvous: drain every group channel in
-                        // group order.
-                        Some(chain) => {
-                            let mut tagged = my_extra;
-                            tagged.sort_by_key(|(gi, _)| *gi);
-                            let groups: Vec<Vec<CompositeTuple>> =
-                                tagged.iter().map(|(_, rx)| drain(rx)).collect();
-                            let group_deg: Vec<bool> = ops
-                                .chain_feeders(chain)
-                                .iter()
-                                .map(|g| upstream_degraded(g.0))
-                                .collect();
-                            ops.fused_chain(chain, groups, &group_deg, &mut local)
-                        }
-                        // Rendezvous: drain both inputs.
-                        None => {
-                            let left = drain(&my_receivers[0]);
-                            let right = drain(&my_receivers[1]);
-                            let deg = (
-                                upstream_degraded(my_preds[0].0),
-                                upstream_degraded(my_preds[1].0),
-                            );
-                            ops.parallel_join(id, left, right, deg, &mut local)
-                        }
-                    };
-                    match joined {
+                    // Rendezvous: drain both inputs.
+                    let left = drain(&my_receivers[0]);
+                    let right = drain(&my_receivers[1]);
+                    let deg = (
+                        upstream_degraded(my_preds[0].0),
+                        upstream_degraded(my_preds[1].0),
+                    );
+                    match ops.parallel_join(id, left, right, deg, &mut local) {
                         Ok(results) => results,
                         Err(e) => return fail(e),
                     }

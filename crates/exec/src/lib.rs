@@ -398,8 +398,11 @@ impl ExecPool {
     fn push_compute(&self, job: Job) {
         let inner = &self.inner;
         let idx = inner.cursor.fetch_add(1, Ordering::SeqCst) % inner.workers;
-        inner.queues[idx].lock().unwrap().push_back(job);
+        // Count before pushing: a worker may claim the job (and
+        // decrement) the instant it lands, and `pending` must never dip
+        // below zero in between.
         inner.pending.fetch_add(1, Ordering::SeqCst);
+        inner.queues[idx].lock().unwrap().push_back(job);
         let _g = inner.gate.lock().unwrap();
         inner.cv.notify_all();
     }
@@ -573,6 +576,33 @@ mod tests {
         pool.shutdown();
         pool.shutdown();
         assert_eq!(pool.threads_alive(), 0);
+    }
+
+    #[test]
+    fn queue_depth_never_exceeds_the_jobs_submitted() {
+        const JOBS: usize = 2_000;
+        let pool = ExecPool::new(4);
+        let running = AtomicBool::new(true);
+        let max_seen = std::thread::scope(|s| {
+            let poller = s.spawn(|| {
+                let mut max = 0usize;
+                while running.load(Ordering::SeqCst) {
+                    max = max.max(pool.stats().queue_depth);
+                }
+                max
+            });
+            for _ in 0..20 {
+                let out = pool.scope_run((0..JOBS).map(|i| move || i).collect::<Vec<_>>());
+                assert_eq!(out.len(), JOBS);
+            }
+            running.store(false, Ordering::SeqCst);
+            poller.join().unwrap()
+        });
+        assert!(
+            max_seen <= JOBS,
+            "queue depth {max_seen} exceeds the {JOBS} jobs submitted"
+        );
+        assert_eq!(pool.stats().queue_depth, 0, "every job was claimed");
     }
 
     #[test]

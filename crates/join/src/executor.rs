@@ -18,10 +18,8 @@ use seco_services::invocation::{ChunkBody, Request};
 use seco_services::Service;
 
 use crate::error::JoinError;
-use crate::index::{
-    ColumnarOptions, JoinIndex, JoinIndexMode, JoinIndexOptions, JoinStats, KeyPlan, ProbeKeys,
-};
-use crate::strategy::{CallScheduler, CallTarget, TilePruner};
+use crate::index::{JoinIndex, JoinStats, KeyPlan, ProbeKeys};
+use crate::strategy::{CallScheduler, CallTarget};
 use crate::tile::Tile;
 
 /// One fetched chunk of composites plus its cached header data.
@@ -217,14 +215,6 @@ pub struct ParallelJoinExecutor<'p> {
     pub h: usize,
     /// Stop after emitting this many results (0 = explore everything).
     pub k: usize,
-    /// Join-kernel options: candidate enumeration mode and tile
-    /// pruning. The default (hash mode, no score pruning) is
-    /// byte-identical to the nested-loop baseline.
-    pub options: JoinIndexOptions,
-    /// Columnar data-plane options: column-backed key extraction and
-    /// vectorized batch predicate evaluation. Both default on; both are
-    /// byte-identical to the row-at-a-time plane.
-    pub columnar: ColumnarOptions,
     /// Shared executor pool for intra-tile morsel parallelism. `None`
     /// (or a one-worker pool) takes the exact serial code path; with
     /// more workers, each tile's X rows are split into segments that
@@ -275,10 +265,10 @@ struct TileCtx<'a> {
 }
 
 /// Minimum X rows per morsel: below this, per-task overhead dominates.
-pub(crate) const PAR_MIN_SEG: usize = 16;
+const PAR_MIN_SEG: usize = 16;
 /// Minimum candidate pairs in a tile before the kernel bothers to fan
 /// out; small tiles stay on the exact serial path.
-pub(crate) const PAR_MIN_PAIRS: usize = 4096;
+const PAR_MIN_PAIRS: usize = 4096;
 
 impl ParallelJoinExecutor<'_> {
     /// Runs the join to completion or to the `k` target, pacing calls
@@ -318,14 +308,10 @@ impl ParallelJoinExecutor<'_> {
         let mut results: Vec<CompositeTuple> = Vec::new();
         let mut c = r1 * r2;
 
-        // Compile the predicate set once per run; `None` (off mode or an
+        // Compile the predicate set once per run; `None` (an
         // unresolvable set) falls back to the interpreted nested loop.
-        let compiled = match self.options.mode {
-            JoinIndexMode::Off => None,
-            JoinIndexMode::Hash => CompiledPredicates::compile(self.predicates, self.schemas),
-        };
+        let compiled = CompiledPredicates::compile(self.predicates, self.schemas);
         let mut st = RunState::default();
-        let mut pruner = TilePruner::new(self.k);
 
         'outer: loop {
             if results.len() >= target_k {
@@ -390,13 +376,6 @@ impl ParallelJoinExecutor<'_> {
                     processed.push(t);
                     let rep = chunks_x[t.x].representative * chunks_y[t.y].representative;
                     tile_reps.push(rep);
-                    if self.options.tile_prune && pruner.can_skip(rep) {
-                        st.stats.tiles_pruned += 1;
-                        st.stats.pairs_skipped +=
-                            (chunks_x[t.x].len() * chunks_y[t.y].len()) as u64;
-                        continue;
-                    }
-                    let before = results.len();
                     self.join_tile(
                         compiled.as_ref(),
                         &chunks_x[t.x],
@@ -406,11 +385,6 @@ impl ParallelJoinExecutor<'_> {
                         &mut st,
                         &mut results,
                     )?;
-                    if self.options.tile_prune {
-                        for r in &results[before..] {
-                            pruner.observe(r.score_product());
-                        }
-                    }
                     if results.len() >= target_k {
                         break 'outer;
                     }
@@ -521,19 +495,17 @@ impl ParallelJoinExecutor<'_> {
         }
         let plan = compiled.batch_plan(&first_x.atoms, &first_y.atoms)?;
         // Zero-copy when the Y chunk's body columns back the plan.
-        if self.columnar.columnar {
-            if let Some((atom, body)) = &chunk_y.body {
-                if let Some(cc) = body.columns() {
-                    if first_y.atoms.len() == 1
-                        && first_y.atoms[0] == *atom
-                        && plan
-                            .columns()
-                            .iter()
-                            .all(|(a, f)| a == atom && cc.column(*f).is_some())
-                    {
-                        stats.columns_scanned += plan.columns().len() as u64;
-                        return Some((plan, TileCols::Body(cc)));
-                    }
+        if let Some((atom, body)) = &chunk_y.body {
+            if let Some(cc) = body.columns() {
+                if first_y.atoms.len() == 1
+                    && first_y.atoms[0] == *atom
+                    && plan
+                        .columns()
+                        .iter()
+                        .all(|(a, f)| a == atom && cc.column(*f).is_some())
+                {
+                    stats.columns_scanned += plan.columns().len() as u64;
+                    return Some((plan, TileCols::Body(cc)));
                 }
             }
         }
@@ -542,28 +514,27 @@ impl ParallelJoinExecutor<'_> {
         Some((plan, TileCols::Owned(owned)))
     }
 
-    /// Joins one tile, emitting results in the exact (i, j) order of
-    /// the nested-loop baseline.
+    /// Joins one tile, emitting results in the exact (i, j) order of a
+    /// nested loop over the tile.
     ///
     /// Pairs are *merged*, not concatenated: branches with common
     /// ancestry (the Fig. 2 diamond) share atoms, and a pair whose
     /// shared components differ is not a candidate at all.
     ///
-    /// Three enumeration strategies, in decreasing preference:
+    /// Three enumeration strategies, chosen from the inputs:
     /// 1. hash probe — the Y chunk is bucketed by equi-join key (built
     ///    lazily once per chunk, straight from typed columns when the
     ///    body is columnar) and each X composite visits only its bucket
     ///    plus the unkeyed entries, in ascending index order;
     /// 2. compiled nested loop — no usable equi key, but the predicate
     ///    set compiled (zero per-candidate path resolution);
-    /// 3. interpreted nested loop — off mode or an uncompilable set.
+    /// 3. interpreted nested loop — the predicate set did not compile.
     ///
-    /// On top of 1 and 2, when [`ColumnarOptions::batch_eval`] is on and
-    /// a [`BatchPlan`] applies, candidates are evaluated by vectorized
-    /// kernels over the Y chunk's columns — a selection mask for whole
-    /// chunks, residual refinement for index-selected lists — with the
-    /// scalar loop kept as the fallback that also reproduces evaluation
-    /// errors.
+    /// On top of 1 and 2, when a [`BatchPlan`] applies, candidates are
+    /// evaluated by vectorized kernels over the Y chunk's columns — a
+    /// selection mask for whole chunks, residual refinement for
+    /// index-selected lists — with the scalar loop kept as the fallback
+    /// that also reproduces evaluation errors.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn join_tile(
         &self,
@@ -597,7 +568,6 @@ impl ParallelJoinExecutor<'_> {
             st.probes_x.resize_with(xi + 1, Vec::new);
         }
         if st.indexes_y[yi].is_none() {
-            let columnar = self.columnar.columnar;
             let built = cy
                 .first()
                 .and_then(|sample| KeyPlan::build(compiled.equi_candidates(), sample))
@@ -611,17 +581,15 @@ impl ParallelJoinExecutor<'_> {
                     };
                     st.stats.index_builds += 1;
                     let plan = &st.plans[plan_id];
-                    if columnar {
-                        // Key straight off the body's typed columns when
-                        // they back the plan; byte-identical buckets.
-                        if let Some((atom, body)) = &chunk_y.body {
-                            if let Some(cols) = body.columns() {
-                                if let Some((ix, scanned)) =
-                                    JoinIndex::build_from_columns(plan, plan_id, *atom, cols)
-                                {
-                                    st.stats.columns_scanned += scanned as u64;
-                                    return ix;
-                                }
+                    // Key straight off the body's typed columns when they
+                    // back the plan; byte-identical buckets.
+                    if let Some((atom, body)) = &chunk_y.body {
+                        if let Some(cols) = body.columns() {
+                            if let Some((ix, scanned)) =
+                                JoinIndex::build_from_columns(plan, plan_id, *atom, cols)
+                            {
+                                st.stats.columns_scanned += scanned as u64;
+                                return ix;
                             }
                         }
                     }
@@ -631,11 +599,7 @@ impl ParallelJoinExecutor<'_> {
         }
 
         // Prepare the tile's batch kernel, when every precondition holds.
-        let prepared = if self.columnar.batch_eval {
-            self.tile_batch(compiled, chunk_x, chunk_y, &mut st.stats)
-        } else {
-            None
-        };
+        let prepared = self.tile_batch(compiled, chunk_x, chunk_y, &mut st.stats);
         let batch: Option<(&BatchPlan, Vec<ColumnRef<'_>>)> =
             prepared.as_ref().map(|(plan, tc)| {
                 let refs = match tc {
@@ -1022,8 +986,6 @@ mod tests {
             completion: Completion::Rectangular,
             h: 1,
             k: 0,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
             pool: None,
         };
         let mut ms_a = MemoryStream::new(a, 2);
@@ -1053,8 +1015,6 @@ mod tests {
             completion: Completion::Triangular,
             h: 1,
             k: 3,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
             pool: None,
         };
         let mut ms_a = MemoryStream::new(a, 2);
@@ -1094,8 +1054,6 @@ mod tests {
             completion: Completion::Rectangular,
             h: 2,
             k: 0,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
             pool: None,
         };
         let mut ms_a = MemoryStream::new(a, 2);
@@ -1119,8 +1077,6 @@ mod tests {
             completion: Completion::Rectangular,
             h: 1,
             k: 0,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
             pool: None,
         };
         let mut ms_a = MemoryStream::new(Vec::new(), 2);
@@ -1143,8 +1099,6 @@ mod tests {
             completion: Completion::Rectangular,
             h: 1,
             k: 3,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
             pool: None,
         };
         // B's branch lost everything to an outage upstream.
@@ -1238,8 +1192,6 @@ mod tests {
             completion: Completion::Rectangular,
             h: 1,
             k: 0,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
             pool: None,
         };
         let mut ms_a = MemoryStream::new(a.clone(), 2);
@@ -1265,49 +1217,50 @@ mod tests {
     }
 
     /// The morsel path must be invisible: same results, same tile
-    /// bookkeeping, same counters, at any worker count — including a
-    /// k-cut run and the interpreted (index-off) kernel.
+    /// bookkeeping, same counters, at any worker count — for the hash
+    /// probe (with and without a k cut) and for the compiled batch scan
+    /// a non-equi predicate takes.
     #[test]
     fn pooled_morsels_are_byte_identical_to_serial() {
         let sa = schema("A");
         let sb = schema("B");
-        let (preds, schemas) = setup(&sa, &sb);
+        let (equi, schemas) = setup(&sa, &sb);
+        let non_equi = vec![ResolvedPredicate::Join(JoinPredicate {
+            left: QualifiedPath::new("A", AttributePath::atomic("City")),
+            op: Comparator::Lt,
+            right: QualifiedPath::new("B", AttributePath::atomic("City")),
+        })];
         let a = stream_data("A", &sa, 200, ScoreDecay::Linear);
         let b = stream_data("B", &sb, 200, ScoreDecay::Quadratic);
-        let run = |pool: Option<Arc<seco_exec::ExecPool>>,
-                   k: usize,
-                   mode: crate::index::JoinIndexMode| {
-            let exec = ParallelJoinExecutor {
-                predicates: &preds,
-                schemas: &schemas,
-                invocation: Invocation::merge_scan_even(),
-                completion: Completion::Triangular,
-                h: 1,
-                k,
-                options: JoinIndexOptions {
-                    mode,
-                    ..JoinIndexOptions::default()
-                },
-                columnar: ColumnarOptions::default(),
-                pool,
+        let run =
+            |pool: Option<Arc<seco_exec::ExecPool>>, k: usize, preds: &[ResolvedPredicate]| {
+                let exec = ParallelJoinExecutor {
+                    predicates: preds,
+                    schemas: &schemas,
+                    invocation: Invocation::merge_scan_even(),
+                    completion: Completion::Triangular,
+                    h: 1,
+                    k,
+                    pool,
+                };
+                let mut sx = MemoryStream::new(a.clone(), 100);
+                let mut sy = MemoryStream::new(b.clone(), 100);
+                exec.run(&mut sx, &mut sy).unwrap()
             };
-            let mut sx = MemoryStream::new(a.clone(), 100);
-            let mut sy = MemoryStream::new(b.clone(), 100);
-            exec.run(&mut sx, &mut sy).unwrap()
-        };
-        for (k, mode) in [
-            (0, crate::index::JoinIndexMode::Hash),
-            (37, crate::index::JoinIndexMode::Hash),
-            (0, crate::index::JoinIndexMode::Off),
-        ] {
-            let serial = run(None, k, mode);
+        for (k, preds) in [(0, &equi), (37, &equi), (0, &non_equi)] {
+            let serial = run(None, k, preds);
+            let scan = preds == &non_equi;
+            // The non-equi run is the compiled scan: no index, every
+            // row judged by the batch kernel.
+            assert_eq!(serial.stats.index_builds == 0, scan, "k={k}");
+            assert!(serial.stats.batch_evals > 0, "k={k}");
             for workers in [2, 8] {
                 let pool = Arc::new(seco_exec::ExecPool::new(workers));
-                let parallel = run(Some(Arc::clone(&pool)), k, mode);
-                assert_eq!(serial, parallel, "k={k} mode={mode:?} workers={workers}");
+                let parallel = run(Some(Arc::clone(&pool)), k, preds);
+                assert_eq!(serial, parallel, "k={k} scan={scan} workers={workers}");
                 assert!(
                     pool.stats().morsels > 0,
-                    "parallel path must actually engage (k={k} mode={mode:?})"
+                    "parallel path must actually engage (k={k} scan={scan})"
                 );
                 pool.shutdown();
             }

@@ -1,8 +1,8 @@
-//! Hash-accelerated tile joins: options, counters, key plans, and the
-//! per-chunk hash index.
+//! Hash-accelerated tile joins: counters, key plans, and the per-chunk
+//! hash index.
 //!
-//! The baseline `join_tile` scans the full `nX × nY` cross product of a
-//! tile. When the predicate set contains equality conjuncts over atomic
+//! Without a key, `join_tile` scans the full `nX × nY` cross product of
+//! a tile. When the predicate set contains equality conjuncts over atomic
 //! attributes of the two streams' atoms ([`seco_query::EquiCandidate`]),
 //! a key mismatch on any such conjunct falsifies the conjunction under
 //! *every* group-row mapping, so pairs with different keys can be
@@ -14,7 +14,7 @@
 //! Exactness invariants, relied on by the equivalence property tests:
 //!
 //! * **Key encoding is equality-faithful.** Two values get the same
-//!   encoding whenever the baseline's `=` holds (numeric promotion
+//!   encoding whenever the interpreter's `=` holds (numeric promotion
 //!   included: `Int` and `Float` both encode as the promoted `f64`'s
 //!   bits, with `-0.0` normalized to `0.0`), and probing re-verifies
 //!   every bucket hit with the full compiled evaluation, so accidental
@@ -22,76 +22,18 @@
 //!   text) can only add *candidates*, never results.
 //! * **Fallback on anything unusual.** A composite missing a planned
 //!   atom, or carrying an unencodable value (a raw `NaN`, on which the
-//!   baseline would error), is left out of the buckets and scanned
+//!   interpreter would error), is left out of the buckets and scanned
 //!   against every probe, so the interpreter's behavior — including its
 //!   errors — is reproduced.
 //! * **Emission order is the nested loop's.** Bucket entries keep
 //!   source indices, and the probe merges bucket hits with unscanned
 //!   ("unkeyed") entries in ascending index order, so results appear in
-//!   the exact (i, j) order of the baseline.
+//!   the exact (i, j) order of the nested loop.
 
 use std::collections::HashMap;
 
 use seco_model::{ChunkColumns, ColumnRef, CompositeTuple, Symbol, Value};
 use seco_query::EquiCandidate;
-
-/// Which candidate-pair enumeration the join executor uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinIndexMode {
-    /// The original nested-loop scan, untouched.
-    Off,
-    /// Per-chunk hash index on equi-join keys, with nested-loop
-    /// fallback when no key exists. Byte-identical to `Off`.
-    #[default]
-    Hash,
-}
-
-/// Join-kernel options carried through `EngineConfig` and the CLI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct JoinIndexOptions {
-    /// Candidate enumeration mode.
-    pub mode: JoinIndexMode,
-    /// Enables the score-frontier tile bound
-    /// ([`crate::strategy::TilePruner`]) on top of index-emptiness
-    /// pruning.
-    pub tile_prune: bool,
-}
-
-/// Options for the columnar data plane. Both switches preserve
-/// byte-identical results; they only choose how candidate pairs are
-/// keyed and evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColumnarOptions {
-    /// Consume chunk bodies column-wise where possible: hash keys are
-    /// extracted straight from typed columns and batch kernels read
-    /// body-backed columns zero-copy. When off, executors go through
-    /// the materialized row view only.
-    pub columnar: bool,
-    /// Evaluate compiled predicates with vectorized batch kernels
-    /// (selection masks over whole chunks, residual evaluation over
-    /// index-selected candidate lists). When off, every candidate is
-    /// evaluated scalar, one composite at a time.
-    pub batch_eval: bool,
-}
-
-impl Default for ColumnarOptions {
-    fn default() -> Self {
-        ColumnarOptions {
-            columnar: true,
-            batch_eval: true,
-        }
-    }
-}
-
-impl ColumnarOptions {
-    /// The pre-columnar row-at-a-time configuration.
-    pub fn row_plane() -> ColumnarOptions {
-        ColumnarOptions {
-            columnar: false,
-            batch_eval: false,
-        }
-    }
-}
 
 /// Counters describing how much work the join kernel actually did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,7 +45,8 @@ pub struct JoinStats {
     /// Candidate pairs skipped without evaluation (key mismatches and
     /// pruned tiles).
     pub pairs_skipped: u64,
-    /// Whole tiles skipped (index-emptiness or score-frontier bound).
+    /// Whole tiles skipped (index emptiness, or the rank join's score
+    /// frontier).
     pub tiles_pruned: u64,
     /// Predicate-set evaluations performed (compiled or interpreted).
     /// Batch kernels count every candidate they cover, so this matches
@@ -127,9 +70,6 @@ pub struct JoinStats {
     pub chunks_saved: u64,
     /// Threshold-bound evaluations performed by the rank join.
     pub bound_checks: u64,
-    /// Intermediate composite materializations the n-ary kernel elided
-    /// (rows a binary cascade would have built as `CompositeTuple`s).
-    pub intermediates_elided: u64,
     /// Microseconds until the k-th result was provably final in the
     /// rank join's buffer (0 when the run never reached k).
     pub time_to_kth_us: u64,
@@ -149,7 +89,6 @@ impl JoinStats {
         self.chunks_fetched += other.chunks_fetched;
         self.chunks_saved += other.chunks_saved;
         self.bound_checks += other.bound_checks;
-        self.intermediates_elided += other.intermediates_elided;
         // Time-to-k-th is a latency, not a volume: merging runs keeps
         // the slowest one rather than summing unrelated clocks.
         self.time_to_kth_us = self.time_to_kth_us.max(other.time_to_kth_us);
@@ -159,18 +98,18 @@ impl JoinStats {
 /// Separates the per-candidate encodings inside a joint key. Text
 /// containing the separator can at worst merge two distinct joint keys
 /// into one bucket — a safe collision, since every hit is re-verified.
-pub(crate) const KEY_SEP: char = '\u{1f}';
+const KEY_SEP: char = '\u{1f}';
 
 /// Appends an equality-faithful encoding of `v` to `out`. Returns
 /// `false` for values with no faithful encoding (a raw `NaN`), which
 /// the caller must route to the scan-everything fallback.
-pub(crate) fn encode_value(v: &Value, out: &mut String) -> bool {
+fn encode_value(v: &Value, out: &mut String) -> bool {
     use std::fmt::Write;
     match v {
         // `=` holds for Null only against Null, so Null gets its own tag.
         Value::Null => out.push('n'),
         Value::Bool(b) => out.push_str(if *b { "b1" } else { "b0" }),
-        // Int and Float share the baseline's numeric promotion: encode
+        // Int and Float share the interpreter's numeric promotion: encode
         // the promoted f64's bits. `-0.0 == 0.0` under `=`, so normalize.
         Value::Int(i) => {
             let f = *i as f64;
@@ -502,7 +441,6 @@ mod tests {
             chunks_fetched: 9,
             chunks_saved: 10,
             bound_checks: 11,
-            intermediates_elided: 12,
             time_to_kth_us: 500,
         };
         s.merge(&JoinStats {
@@ -517,7 +455,6 @@ mod tests {
             chunks_fetched: 90,
             chunks_saved: 100,
             bound_checks: 110,
-            intermediates_elided: 120,
             time_to_kth_us: 130,
         });
         assert_eq!(
@@ -534,7 +471,6 @@ mod tests {
                 chunks_fetched: 99,
                 chunks_saved: 110,
                 bound_checks: 121,
-                intermediates_elided: 132,
                 // Latency merges by max, not sum.
                 time_to_kth_us: 500,
             }

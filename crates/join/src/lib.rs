@@ -27,7 +27,6 @@ pub mod error;
 pub mod executor;
 pub mod index;
 pub mod method;
-pub mod nary;
 pub mod optimality;
 pub mod pipe;
 pub mod rank;
@@ -36,9 +35,8 @@ pub mod tile;
 
 pub use error::JoinError;
 pub use executor::{JoinOutcome, ParallelJoinExecutor};
-pub use index::{ColumnarOptions, JoinIndexMode, JoinIndexOptions, JoinStats};
+pub use index::JoinStats;
 pub use method::{JoinMethod, Topology};
-pub use nary::{NaryJoin, NaryOutcome, NaryStage};
 pub use pipe::{pipe_join, PipeJoin, PipeOutcome};
 pub use rank::{score_order, RankJoin};
 pub use strategy::{cost_based_ratio, CallScheduler, CallTarget, Pacing, TilePruner};

@@ -20,7 +20,7 @@ use seco_services::invocation::Request;
 use seco_services::Service;
 
 use crate::error::JoinError;
-use crate::index::{ColumnarOptions, JoinStats};
+use crate::index::JoinStats;
 
 /// Outcome of a pipe-join stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +61,10 @@ pub struct PipeOutcome {
 ///   the resilience middleware: once a breaker opens, the remaining
 ///   inputs short-circuit instantly and the stage returns whatever was
 ///   joined before the outage.
+///
+/// Without `keep_first`, response chunks with typed columns are filtered
+/// whole by a vectorized kernel, and chunks with no survivors never
+/// materialize their row view at all.
 pub struct PipeJoin<'a> {
     /// Alias of the query atom being joined in.
     pub atom: &'a str,
@@ -78,11 +82,6 @@ pub struct PipeJoin<'a> {
     pub keep_first: bool,
     /// Absorb service failures into a degraded partial outcome.
     pub tolerate_failures: bool,
-    /// Columnar data-plane options. With `batch_eval` on (and
-    /// `keep_first` off), whole response chunks are filtered by a
-    /// vectorized kernel over the body's typed columns, and chunks with
-    /// no survivors never materialize their row view at all.
-    pub columnar: ColumnarOptions,
 }
 
 impl PipeJoin<'_> {
@@ -113,14 +112,13 @@ impl PipeJoin<'_> {
             // the fixed side, the fetched atom the varying side. Only
             // without `keep_first` — its early exit stops evaluation
             // mid-chunk, which a whole-chunk kernel cannot reproduce.
-            let batch_plan =
-                if self.columnar.columnar && self.columnar.batch_eval && !self.keep_first {
-                    compiled
-                        .as_ref()
-                        .and_then(|c| c.batch_plan(&input.atoms, std::slice::from_ref(&atom_sym)))
-                } else {
-                    None
-                };
+            let batch_plan = if self.keep_first {
+                None
+            } else {
+                compiled
+                    .as_ref()
+                    .and_then(|c| c.batch_plan(&input.atoms, std::slice::from_ref(&atom_sym)))
+            };
             // Assemble the request for this input composite.
             let mut request = Request::unbound();
             for dep in self.bindings {
@@ -263,7 +261,6 @@ pub fn pipe_join(
         fetches,
         keep_first,
         tolerate_failures: false,
-        columnar: ColumnarOptions::default(),
     }
     .run(inputs, service)
 }
@@ -457,7 +454,6 @@ mod tests {
             fetches: 1,
             keep_first: false,
             tolerate_failures: tolerate,
-            columnar: ColumnarOptions::default(),
         };
         let strict = stage(false).run(&inputs, &downed);
         assert!(matches!(strict, Err(JoinError::Service(_))));

@@ -46,7 +46,6 @@ use seco_query::CompiledPredicates;
 use crate::error::JoinError;
 use crate::executor::{chunk_rows_materialized, CompositeChunk};
 use crate::executor::{ChunkStream, JoinOutcome, ParallelJoinExecutor, RunState};
-use crate::index::JoinIndexMode;
 use crate::strategy::{CallScheduler, CallTarget, Pacing, TilePruner};
 use crate::tile::{Tile, TileSpace};
 
@@ -169,9 +168,8 @@ fn threshold(ax: &Axis, ay: &Axis) -> Option<f64> {
 /// full enumeration — rather than tile-emission order.
 pub struct RankJoin<'p> {
     /// The underlying join configuration: predicates, schemas,
-    /// invocation pacing, index and columnar options, and the `k`
-    /// target (must be > 0 — a rank join without a target would just be
-    /// the full enumeration).
+    /// invocation pacing, morsel pool, and the `k` target (must be > 0 —
+    /// a rank join without a target would just be the full enumeration).
     pub join: ParallelJoinExecutor<'p>,
     /// Optional model of the two streams' full extents. Used only to
     /// report `chunks_saved` (total chunks minus fetched); the stopping
@@ -195,12 +193,7 @@ impl RankJoin<'_> {
         }
         let scheduler = CallScheduler::new(self.join.invocation, self.join.h.max(1))?;
         let mut pacer: Box<dyn Pacing> = Box::new(scheduler);
-        let compiled = match self.join.options.mode {
-            JoinIndexMode::Off => None,
-            JoinIndexMode::Hash => {
-                CompiledPredicates::compile(self.join.predicates, self.join.schemas)
-            }
-        };
+        let compiled = CompiledPredicates::compile(self.join.predicates, self.join.schemas);
         let start = std::time::Instant::now();
         let mut st = RunState::default();
         let mut frontier = TilePruner::new(k);
@@ -343,7 +336,6 @@ impl RankJoin<'_> {
 mod tests {
     use super::*;
     use crate::executor::MemoryStream;
-    use crate::index::{ColumnarOptions, JoinIndexOptions};
     use seco_model::{
         Adornment, AttributeDef, AttributePath, Comparator, DataType, ScoreDecay, ServiceSchema,
         Tuple, Value,
@@ -411,8 +403,6 @@ mod tests {
             completion: Completion::Triangular,
             h: 1,
             k,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
             pool: None,
         }
     }

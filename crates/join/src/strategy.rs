@@ -174,14 +174,12 @@ pub fn cost_based_ratio(
 /// frontier, so the whole tile can be skipped without changing the
 /// result set.
 ///
-/// Under the executor's emit-in-tile-order, stop-at-`k` semantics the
-/// frontier can never *fill* while tiles are still being examined (the
-/// run breaks the moment the `k`-th result is emitted), so this bound is
-/// vacuously exact — it never fires, which the equivalence property
-/// tests confirm by comparing pruned and unpruned runs byte-for-byte.
-/// It is wired in behind `JoinIndexOptions::tile_prune` as the hook for
-/// strategies that buffer and re-rank before emitting. `k = 0` means an
-/// unbounded target: nothing is ever skipped.
+/// The rank join ([`crate::rank::RankJoin`]) keeps its frontier here:
+/// it buffers and re-ranks before emitting, so its frontier fills while
+/// tiles are still being examined. (Under the tile executor's
+/// emit-in-tile-order, stop-at-`k` semantics it never could, which is
+/// why that executor does not consult one.) `k = 0` means an unbounded
+/// target: nothing is ever skipped.
 #[derive(Debug, Clone, Default)]
 pub struct TilePruner {
     k: usize,
@@ -312,7 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn tile_pruner_skips_only_dominated_tiles_behind_a_full_frontier() {
+    fn frontier_skips_only_dominated_tiles_behind_a_full_frontier() {
         let mut p = TilePruner::new(2);
         assert!(!p.can_skip(0.1), "empty frontier never skips");
         p.observe(0.9);

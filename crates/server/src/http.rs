@@ -88,14 +88,57 @@ pub fn url_decode(s: &str) -> String {
 /// hundred bytes; anything larger is refused before it is allocated.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Largest request head (request line plus headers) the daemon reads.
+/// Real heads are a few hundred bytes; a longer one is refused before
+/// more of it is buffered.
+pub const MAX_HEADER_BYTES: usize = 8 << 10;
+
+/// Reads one line of the request head, charging it to `budget`.
+/// `Some("")` at EOF; `None` when the line overruns what is left of the
+/// budget (at most `budget + 1` bytes are read in that case).
+fn read_head_line(reader: &mut impl BufRead, budget: &mut usize) -> io::Result<Option<String>> {
+    let mut line = String::new();
+    let n = reader.take(*budget as u64 + 1).read_line(&mut line)?;
+    if n > *budget {
+        return Ok(None);
+    }
+    *budget -= n;
+    Ok(Some(line))
+}
+
+/// Answers 431 to a head over [`MAX_HEADER_BYTES`]. The rest of the head
+/// is read and discarded first (in bounded pieces, at most
+/// [`MAX_BODY_BYTES`] of it), so closing the connection does not reset
+/// it before the client reads the answer.
+fn refuse_head(stream: &TcpStream, reader: &mut impl BufRead) -> io::Result<Option<Request>> {
+    let mut tail = reader.take(MAX_BODY_BYTES as u64);
+    let mut piece = Vec::new();
+    loop {
+        piece.clear();
+        let n = (&mut tail)
+            .take(MAX_HEADER_BYTES as u64)
+            .read_until(b'\n', &mut piece)?;
+        if n == 0 || piece == b"\r\n" || piece == b"\n" {
+            break;
+        }
+    }
+    let body = r#"{"error":"request header too large"}"#;
+    respond_json(&mut stream.try_clone()?, 431, body)?;
+    Ok(None)
+}
+
 /// Reads one request off the connection. `None` when there is nothing
 /// to dispatch: a clean EOF before any bytes (client connected and went
-/// away), or a declared body over [`MAX_BODY_BYTES`], which is answered
-/// with 413 here, before any buffer is sized from the client's header.
+/// away), a head over [`MAX_HEADER_BYTES`] (answered 431), or a declared
+/// body over [`MAX_BODY_BYTES`] (answered 413). Both refusals happen
+/// before any buffer is sized from the client's input.
 pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Request>> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let mut budget = MAX_HEADER_BYTES;
+    let Some(line) = read_head_line(&mut reader, &mut budget)? else {
+        return refuse_head(stream, &mut reader);
+    };
+    if line.is_empty() {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -117,10 +160,9 @@ pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Request>> {
         .collect();
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
+        let Some(header) = read_head_line(&mut reader, &mut budget)? else {
+            return refuse_head(stream, &mut reader);
+        };
         let header = header.trim();
         if header.is_empty() {
             break;
@@ -150,6 +192,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         413 => "Content Too Large",
+        431 => "Request Header Fields Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
         503 => "Service Unavailable",

@@ -283,6 +283,22 @@ fn oversized_bodies_are_refused_before_allocation() {
 }
 
 #[test]
+fn oversized_headers_are_refused_before_allocation() {
+    let (handle, addr, _, _) = chain_server(ServerConfig::default());
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let filler = "a".repeat(64 << 10);
+    conn.write_all(format!("GET /healthz HTTP/1.1\r\nX-Filler: {filler}\r\n\r\n").as_bytes())
+        .expect("send headers");
+    let mut response = String::new();
+    conn.read_to_string(&mut response).expect("read response");
+    assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+    // The daemon is still up and serving.
+    let (status, _) = http::call(&addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(status, 200);
+    stop(handle, &addr);
+}
+
+#[test]
 fn shutdown_drains_and_stops_accepting() {
     let (handle, addr, text, k) = chain_server(ServerConfig::default());
     let _ = http::call(&addr, "POST", &format!("/query?k={k}"), &text).expect("warm-up");

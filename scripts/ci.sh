@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local CI gate: release build, workspace tests, lints, formatting.
+# Full local CI gate: release build, workspace tests, lints, formatting,
+# the perfbench build, and the bench smoke gates.
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,11 +13,18 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# --all-targets: tests, benches, and examples are linted too.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# perfbench is its own workspace (see BENCHMARK.json), so --workspace
+# never builds it; build it here so engine API changes that break it
+# fail CI.
+echo "==> perfbench build"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 # results/ is the single canonical home for benchmark reports; smoke
 # runs overwrite them in place and the greps below gate on those files.

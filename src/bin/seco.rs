@@ -7,11 +7,8 @@
 //! seco run       [--domain D] [--metric M] [--seed N] [--parallel]
 //!                [--exec-workers N]
 //!                [--fault-profile none|flaky|outage] [--deadline-ms N]
-//!                [--cache-shards N]
-//!                [--join-index off|hash] [--tile-prune]
-//!                [--rank-join] [--nary-join]
-//!                [--adaptive] [--adaptive-threshold N]
-//!                [--columnar on|off] [--batch-eval on|off] <query…>
+//!                [--cache-shards N] [--rank-join]
+//!                [--adaptive] [--adaptive-threshold N] <query…>
 //! seco stats     [--domain D] [--metric M] [--seed N] [--adaptive] <query…>
 //! seco oracle    [--domain D] [--seed N] <query…>
 //! seco serve     [--domain D] [--metric M] [--seed N] [--addr HOST:PORT]
@@ -29,39 +26,30 @@
 //! request-coalescing response cache and reports hit / coalesced
 //! counters after the answers.
 //!
-//! `--join-index` selects the join kernel: `hash` (the default) builds
-//! per-chunk hash indexes over equi-join keys and probes them instead
-//! of scanning every candidate pair; `off` runs the plain nested loop.
-//! Both produce byte-identical answers. `--tile-prune` additionally
-//! skips tiles whose score-product representative cannot reach the
-//! current top-k frontier. A `join:` counter line is printed after the
-//! answers.
+//! The join kernel has no flags: it builds per-chunk hash indexes over
+//! equi-join keys when a key applies, reads typed columns when the
+//! chunk body has them, and evaluates predicates with batch kernels
+//! when a batch plan applies. A `join:` counter line is printed after
+//! the answers.
 //!
 //! `--rank-join` turns parallel joins into true top-k rank joins: the
 //! inputs are score-sorted and chunk pulls stop as soon as the
 //! threshold bound proves the buffered top `k` final (the query's
-//! `top k` supplies the target). `--nary-join` fuses chains of
-//! parallel joins into one n-ary pass that skips the intermediate
-//! composites; answers stay byte-identical to the binary cascade. A
-//! `rank:` counter line is printed after the answers.
+//! `top k` supplies the target). A `rank:` counter line is printed
+//! after the answers.
 //!
 //! `--exec-workers N` sets the morsel-executor worker count (default:
-//! the machine's core count). Above 1, tile joins, n-ary
-//! intersections, and batch predicate evaluation decompose into
-//! morsels on a shared work-stealing pool; a deterministic ordered
-//! reducer keeps the answers byte-identical to serial at any worker
-//! count. `--exec-workers 1` takes the exact serial code path. `seco
+//! the machine's core count). Above 1, tile joins decompose into
+//! row-range morsels on a shared work-stealing pool; a deterministic
+//! ordered reducer keeps the answers byte-identical to serial at any
+//! worker count. `--exec-workers 1` takes the exact serial code path. `seco
 //! stats` prints the scheduler counters (queue depth, steals, morsels,
 //! worker busy time) after the service statistics; `seco serve` sizes
 //! the daemon-wide shared pool with the same flag.
 //!
-//! `--columnar` toggles column-wise consumption of chunk bodies
-//! (columnar hash-key extraction, zero-copy kernel inputs) and
-//! `--batch-eval` toggles the vectorized predicate kernels built on
-//! top of it; both default to `on` and are byte-identical to the
-//! row-at-a-time plane. Every flag default is taken from
-//! `EngineConfig::default()`, and each flag maps 1:1 to an
-//! `EngineConfig` builder method.
+//! Every flag default is taken from `EngineConfig::default()`, each
+//! engine flag maps 1:1 to an `EngineConfig` builder method, and an
+//! unknown `--flag` is an error.
 //!
 //! `--adaptive` turns on mid-flight re-optimization: after every fresh
 //! service or join stage, the engine compares the observed output
@@ -125,14 +113,9 @@ struct Args {
     fault_profile: String,
     deadline_ms: Option<f64>,
     cache_shards: usize,
-    join_index: JoinIndexMode,
-    tile_prune: bool,
     rank_join: bool,
-    nary_join: bool,
     adaptive: bool,
     adaptive_threshold: f64,
-    columnar: bool,
-    batch_eval: bool,
     workers: usize,
     exec_workers: usize,
     addr: String,
@@ -155,14 +138,9 @@ fn parse_args() -> Result<Args, String> {
     let mut fault_profile = "none".to_owned();
     let mut deadline_ms = None;
     let mut cache_shards = defaults.fetch.cache_shards;
-    let mut join_index = defaults.join_index.mode;
-    let mut tile_prune = defaults.join_index.tile_prune;
     let mut rank_join = defaults.rank_join;
-    let mut nary_join = defaults.nary_join;
     let mut adaptive = defaults.adaptive;
     let mut adaptive_threshold = defaults.adaptive_threshold;
-    let mut columnar = defaults.columnar.columnar;
-    let mut batch_eval = defaults.columnar.batch_eval;
     let mut workers = 1usize;
     // Morsel parallelism defaults to the machine's core count; the
     // library default (1) stays serial so embedding stays byte-stable.
@@ -177,18 +155,6 @@ fn parse_args() -> Result<Args, String> {
     let mut max_concurrent = server_defaults.max_concurrent;
     let mut tenant_budget = server_defaults.tenant_budget;
     let mut query_parts: Vec<String> = Vec::new();
-    let parse_join_index = |mode: &str| match mode {
-        "off" | "nested" => Ok(JoinIndexMode::Off),
-        "hash" => Ok(JoinIndexMode::Hash),
-        other => Err(format!("unknown join index `{other}` (use off or hash)")),
-    };
-    let parse_switch = |flag: &str, value: &str| match value {
-        "on" | "true" => Ok(true),
-        "off" | "false" => Ok(false),
-        other => Err(format!(
-            "unknown value `{other}` for {flag} (use on or off)"
-        )),
-    };
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--domain" => domain = argv.next().ok_or("--domain needs a value")?,
@@ -211,9 +177,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
             "--parallel" => parallel = true,
-            "--tile-prune" => tile_prune = true,
             "--rank-join" => rank_join = true,
-            "--nary-join" => nary_join = true,
             "--adaptive" => adaptive = true,
             "--adaptive-threshold" => {
                 adaptive_threshold = argv
@@ -224,21 +188,6 @@ fn parse_args() -> Result<Args, String> {
                 if adaptive_threshold < 1.0 {
                     return Err("--adaptive-threshold must be at least 1.0".into());
                 }
-            }
-            "--join-index" => {
-                join_index = parse_join_index(&argv.next().ok_or("--join-index needs a value")?)?;
-            }
-            "--columnar" => {
-                columnar = parse_switch(
-                    "--columnar",
-                    &argv.next().ok_or("--columnar needs a value")?,
-                )?;
-            }
-            "--batch-eval" => {
-                batch_eval = parse_switch(
-                    "--batch-eval",
-                    &argv.next().ok_or("--batch-eval needs a value")?,
-                )?;
             }
             "--cache-shards" => {
                 cache_shards = argv
@@ -300,17 +249,8 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown metric `{other}`")),
                 };
             }
-            other => {
-                if let Some(mode) = other.strip_prefix("--join-index=") {
-                    join_index = parse_join_index(mode)?;
-                } else if let Some(value) = other.strip_prefix("--columnar=") {
-                    columnar = parse_switch("--columnar", value)?;
-                } else if let Some(value) = other.strip_prefix("--batch-eval=") {
-                    batch_eval = parse_switch("--batch-eval", value)?;
-                } else {
-                    query_parts.push(other.to_owned());
-                }
-            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            other => query_parts.push(other.to_owned()),
         }
     }
     Ok(Args {
@@ -322,14 +262,9 @@ fn parse_args() -> Result<Args, String> {
         fault_profile,
         deadline_ms,
         cache_shards,
-        join_index,
-        tile_prune,
         rank_join,
-        nary_join,
         adaptive,
         adaptive_threshold,
-        columnar,
-        batch_eval,
         workers,
         exec_workers,
         addr,
@@ -347,9 +282,7 @@ fn usage() -> String {
      [--seed N] [--workers N] [--exec-workers N] [--parallel] \
      [--fault-profile none|flaky|outage] \
      [--deadline-ms N] [--cache-shards N] \
-     [--join-index off|hash] [--tile-prune] [--rank-join] [--nary-join] \
-     [--adaptive] [--adaptive-threshold N] \
-     [--columnar on|off] [--batch-eval on|off] \
+     [--rank-join] [--adaptive] [--adaptive-threshold N] \
      [--addr HOST:PORT] [--max-sessions N] [--max-concurrent N] \
      [--tenant-budget N] <query>"
         .to_owned()
@@ -518,12 +451,10 @@ fn cmd_run(
         join_stats.columns_scanned, join_stats.batch_evals, join_stats.rows_materialized
     );
     println!(
-        "rank: {} chunks fetched, {} chunks saved, {} bound checks, \
-         {} intermediates elided, time-to-kth {} us",
+        "rank: {} chunks fetched, {} chunks saved, {} bound checks, time-to-kth {} us",
         join_stats.chunks_fetched,
         join_stats.chunks_saved,
         join_stats.bound_checks,
-        join_stats.intermediates_elided,
         join_stats.time_to_kth_us
     );
     if opts.adaptive {
@@ -704,15 +635,10 @@ fn main() -> ExitCode {
     // Every flag maps 1:1 onto an `EngineConfig` builder method.
     let mut opts = EngineConfig::default()
         .cache_shards(args.cache_shards)
-        .join_index_mode(args.join_index)
-        .tile_prune(args.tile_prune)
         .rank_join(args.rank_join)
-        .nary_join(args.nary_join)
         .adaptive(args.adaptive)
         .adaptive_threshold(args.adaptive_threshold)
         .adaptive_metric(args.metric)
-        .columnar(args.columnar)
-        .batch_eval(args.batch_eval)
         .exec_workers(args.exec_workers);
     if resilient {
         opts = opts.degrade().client(ClientConfig {

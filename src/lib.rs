@@ -73,9 +73,7 @@ pub mod prelude {
         execute_plan_shared, EngineConfig, FailureMode, FetchOptions, ParallelOutcome, ResultSet,
         SharedState,
     };
-    pub use seco_join::{
-        ColumnarOptions, JoinIndexMode, JoinIndexOptions, JoinMethod, JoinStats, Topology,
-    };
+    pub use seco_join::{JoinMethod, JoinStats, Topology};
     pub use seco_model::{
         Adornment, AttributePath, Comparator, CompositeTuple, Date, ScoreDecay, ServiceInterface,
         ServiceKind, Value,
@@ -91,8 +89,8 @@ mod tests {
     #[test]
     fn facade_re_exports_compile() {
         use crate::prelude::*;
-        let _ = EngineConfig::default().columnar(true).batch_eval(true);
-        let _ = ColumnarOptions::default();
+        let _ = EngineConfig::default().rank_join(false).exec_workers(1);
+        let _ = JoinStats::default();
         let _ = CostMetric::RequestCount;
         let _ = Comparator::Eq;
         let _ = Completion::Triangular;

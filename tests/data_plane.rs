@@ -1,15 +1,18 @@
 //! Zero-copy data plane invariants: identical seeds must produce
-//! identical ranked output regardless of executor, and repeated seeded
-//! runs must be byte-identical.
+//! identical ranked output regardless of executor or of how services
+//! store their chunks, and repeated seeded runs must be byte-identical.
 //!
 //! These are the determinism guards for the shared-tuple refactor: if
 //! interned symbols or `Arc`-shared chunks ever perturbed hashing,
 //! iteration order, or score arithmetic, the ranked combinations would
 //! drift and these tests would catch it.
 
+use std::sync::Arc;
+
 use search_computing::plan::{JoinSpec, PlanNode, SelectionNode, ServiceNode};
 use search_computing::prelude::*;
 use search_computing::services::domains::travel;
+use search_computing::services::{ChunkResponse, Request, ServiceError};
 
 /// The E1 travel plan of the bench harness (Fig. 2/3): Conference →
 /// Weather → selection → (Flight ∥ Hotel) → parallel join.
@@ -131,21 +134,56 @@ fn seeded_e1_runs_are_byte_identical() {
     assert_ne!(render(&a.results), render(&c.results));
 }
 
+/// Re-serves another service's chunks as row-structured bodies (no
+/// typed columns), so the engine consumes them through the row view:
+/// row-built hash indexes and batch columns gathered from composites.
+struct RowBodies(Arc<dyn Service>);
+
+impl Service for RowBodies {
+    fn interface(&self) -> &ServiceInterface {
+        self.0.interface()
+    }
+
+    fn fetch(&self, request: &Request) -> Result<ChunkResponse, ServiceError> {
+        let resp = self.0.fetch(request)?;
+        Ok(ChunkResponse::from_shared(
+            resp.shared_tuples(),
+            resp.has_more(),
+            resp.elapsed_ms,
+        ))
+    }
+}
+
+/// `registry` with every service re-served through [`RowBodies`].
+fn row_bodied(registry: &ServiceRegistry) -> ServiceRegistry {
+    let mut rows = ServiceRegistry::new();
+    for name in registry.service_names() {
+        rows.register_service(Arc::new(RowBodies(registry.service(name).unwrap())))
+            .unwrap();
+    }
+    for name in registry.pattern_names() {
+        rows.register_pattern(registry.declared_pattern(name).unwrap().clone())
+            .unwrap();
+    }
+    rows
+}
+
 #[test]
 fn columnar_and_row_planes_are_byte_identical_on_e1() {
-    // The columnar chunk plane (typed columns + vectorized predicate
-    // kernels) must reproduce the row-at-a-time baseline exactly:
-    // same emission order, same calls, same virtual time, and the
-    // same number of judged candidates — on both executors.
+    // Services answering with columnar chunk bodies (typed columns +
+    // vectorized predicate kernels) and the same services answering
+    // with row bodies must give the same answer: same emission order,
+    // same calls, same virtual time, and the same number of judged
+    // candidates — on both executors.
     let render = |o: &[CompositeTuple]| -> Vec<String> {
         o.iter().map(|c| format!("{:?}", c.materialize())).collect()
     };
-    let col_cfg = EngineConfig::default().join_k(10);
-    let row_cfg = col_cfg.columnar(false).batch_eval(false);
+    let cfg = EngineConfig::default().join_k(10);
     let (plan_a, reg_a) = e1_plan(5);
     let (plan_b, reg_b) = e1_plan(5);
-    let col = execute_plan(&plan_a, &reg_a, col_cfg).unwrap();
-    let row = execute_plan(&plan_b, &reg_b, row_cfg).unwrap();
+    let reg_b = row_bodied(&reg_b);
+    let col = execute_plan(&plan_a, &reg_a, cfg).unwrap();
+    let row = execute_plan(&plan_b, &reg_b, cfg).unwrap();
     assert_eq!(render(&col.results), render(&row.results));
     assert_eq!(col.total_calls, row.total_calls);
     assert_eq!(col.critical_ms, row.critical_ms);
@@ -153,18 +191,19 @@ fn columnar_and_row_planes_are_byte_identical_on_e1() {
         col.join_stats.predicate_evals,
         row.join_stats.predicate_evals
     );
-    // The default plane actually exercises the batch kernels and the
-    // row plane never touches them.
+    // The columnar bodies actually exercise the batch kernels, and
+    // only they have rows to materialize.
     assert!(col.join_stats.batch_evals > 0, "{:?}", col.join_stats);
     assert!(col.join_stats.columns_scanned > 0);
-    assert_eq!(row.join_stats.batch_evals, 0);
-    assert_eq!(row.join_stats.columns_scanned, 0);
+    assert!(col.join_stats.rows_materialized > 0);
+    assert_eq!(row.join_stats.rows_materialized, 0);
 
     // Pipelined executor: same combinations under either plane.
     let (plan_c, reg_c) = e1_plan(5);
     let (plan_d, reg_d) = e1_plan(5);
-    let par_col = execute_parallel(&plan_c, &reg_c, col_cfg).unwrap();
-    let par_row = execute_parallel(&plan_d, &reg_d, row_cfg).unwrap();
+    let reg_d = row_bodied(&reg_d);
+    let par_col = execute_parallel(&plan_c, &reg_c, cfg).unwrap();
+    let par_row = execute_parallel(&plan_d, &reg_d, cfg).unwrap();
     assert_eq!(
         ranked_render(&plan_c.query, &par_col),
         ranked_render(&plan_d.query, &par_row)

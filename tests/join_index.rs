@@ -1,99 +1,106 @@
-//! Exactness of the hash-accelerated join kernel: for every join
-//! method, decay model, chunk size, and `k`, the indexed executor must
-//! be *byte-identical* to the nested-loop baseline — same combinations
-//! in the same emission order, same tiles, same tile representatives,
-//! same call counts. The index may only change how much work is done,
-//! never what is produced.
+//! Exactness of the join kernel: for every join method, decay model,
+//! chunk size, and `k`, the kernel must be *byte-identical* to a
+//! nested-loop oracle that replays the same tiles — same combinations
+//! in the same emission order. Whatever the inputs select (hash probe
+//! on an equi key, compiled scan otherwise, batch kernels over
+//! body-backed or gathered columns) may only change how much work is
+//! done, never what is produced.
 
-use search_computing::join::executor::{JoinOutcome, MemoryStream, ParallelJoinExecutor};
-use search_computing::join::{ColumnarOptions, JoinIndexMode, JoinIndexOptions};
+use search_computing::join::executor::{
+    ChunkStream, CompositeChunk, JoinOutcome, MemoryStream, ParallelJoinExecutor, ServiceStream,
+};
+use search_computing::join::JoinError;
 use search_computing::plan::{JoinSpec, PlanNode, SelectionNode, ServiceNode};
 use search_computing::prelude::*;
-use search_computing::query::predicate::{ResolvedPredicate, SchemaMap};
+use search_computing::query::predicate::{satisfies_available, ResolvedPredicate, SchemaMap};
 use search_computing::query::{JoinPredicate, QualifiedPath};
 use search_computing::services::domains::travel;
 use search_computing::services::invocation::Request;
 use seco_bench::join_pair_with_width;
 use seco_model::{Adornment, AttributeDef, AttributePath, DataType, ServiceSchema, Tuple};
 
-const OFF: JoinIndexOptions = JoinIndexOptions {
-    mode: JoinIndexMode::Off,
-    tile_prune: false,
-};
-const HASH: JoinIndexOptions = JoinIndexOptions {
-    mode: JoinIndexMode::Hash,
-    tile_prune: false,
-};
-const HASH_PRUNED: JoinIndexOptions = JoinIndexOptions {
-    mode: JoinIndexMode::Hash,
-    tile_prune: true,
-};
+/// The nested-loop oracle: replays `out.tiles` in order over the chunk
+/// pairs and judges every merged pair with the interpreter. Returns the
+/// combinations it keeps and the number of pairs it judged.
+fn nested_loop_oracle(
+    out: &JoinOutcome,
+    xs: &[Vec<CompositeTuple>],
+    ys: &[Vec<CompositeTuple>],
+    predicates: &[ResolvedPredicate],
+    schemas: &SchemaMap<'_>,
+) -> (Vec<CompositeTuple>, u64) {
+    let mut kept = Vec::new();
+    let mut evals = 0u64;
+    for t in &out.tiles {
+        for a in &xs[t.x] {
+            for b in &ys[t.y] {
+                let Some(candidate) = a.merge(b) else {
+                    continue;
+                };
+                evals += 1;
+                if satisfies_available(predicates, &candidate, schemas).expect("oracle evaluates") {
+                    kept.push(candidate);
+                }
+            }
+        }
+    }
+    (kept, evals)
+}
 
-/// The three data-plane configurations: full columnar (the default),
-/// columnar access without batch kernels, and the row-at-a-time
-/// baseline. All three must be byte-identical.
-const COL: ColumnarOptions = ColumnarOptions {
-    columnar: true,
-    batch_eval: true,
-};
-const COL_NO_BATCH: ColumnarOptions = ColumnarOptions {
-    columnar: true,
-    batch_eval: false,
-};
-const ROW: ColumnarOptions = ColumnarOptions {
-    columnar: false,
-    batch_eval: false,
-};
-
-/// Owned render of the full outcome; two runs are byte-identical iff
-/// these strings are equal.
-fn render(out: &JoinOutcome) -> String {
-    let rows: String = out
-        .results
+/// Owned render of a combination list; two lists are byte-identical
+/// iff these strings are equal.
+fn rows(results: &[CompositeTuple]) -> String {
+    results
         .iter()
         .map(|c| format!("{:?};", c.materialize()))
-        .collect();
+        .collect()
+}
+
+/// Owned render of the full outcome: rows plus tile bookkeeping.
+fn render(out: &JoinOutcome) -> String {
     format!(
-        "{rows}|tiles={:?}|reps={:?}|calls={}/{}|exhausted={}",
-        out.tiles, out.tile_representatives, out.calls_x, out.calls_y, out.exhausted
+        "{}|tiles={:?}|reps={:?}|calls={}/{}|exhausted={}",
+        rows(&out.results),
+        out.tiles,
+        out.tile_representatives,
+        out.calls_x,
+        out.calls_y,
+        out.exhausted
     )
 }
 
-/// Runs one join method over a seeded synthetic service pair.
-fn run_method(
-    decay_x: ScoreDecay,
-    decay_y: ScoreDecay,
-    invocation: Invocation,
-    completion: Completion,
-    chunk: usize,
-    k: usize,
-    options: JoinIndexOptions,
-    columnar: ColumnarOptions,
-) -> JoinOutcome {
-    let (sx, sy) = join_pair_with_width(decay_x, decay_y, 40, chunk, 23, 10);
-    let req = Request::unbound().bind(AttributePath::atomic("Key"), Value::text("q"));
-    let mut x = search_computing::join::executor::ServiceStream::new("X", sx.as_ref(), req.clone());
-    let mut y = search_computing::join::executor::ServiceStream::new("Y", sy.as_ref(), req);
-    let predicates = vec![ResolvedPredicate::Join(JoinPredicate {
+/// Every chunk of a stream, in order, as plain composite lists.
+fn fetch_all(stream: &mut dyn ChunkStream) -> Vec<Vec<CompositeTuple>> {
+    let mut chunks = Vec::new();
+    loop {
+        let chunk = stream.fetch_chunk(chunks.len()).expect("chunk fetches");
+        let more = chunk.has_more;
+        chunks.push(chunk.composites);
+        if !more {
+            return chunks;
+        }
+    }
+}
+
+/// Re-serves recorded chunks without their service bodies, so the
+/// kernel reads the row view: keys from the row-built index, batch
+/// columns gathered from the composites.
+struct RowChunks(Vec<Vec<CompositeTuple>>);
+
+impl ChunkStream for RowChunks {
+    fn fetch_chunk(&mut self, idx: usize) -> Result<CompositeChunk, JoinError> {
+        let composites = self.0.get(idx).cloned().unwrap_or_default();
+        Ok(CompositeChunk::new(composites, idx + 1 < self.0.len()))
+    }
+}
+
+/// `X.Link <op> Y.Link`.
+fn link_predicate(op: Comparator) -> Vec<ResolvedPredicate> {
+    vec![ResolvedPredicate::Join(JoinPredicate {
         left: QualifiedPath::new("X", AttributePath::atomic("Link")),
-        op: Comparator::Eq,
+        op,
         right: QualifiedPath::new("Y", AttributePath::atomic("Link")),
-    })];
-    let mut schemas = SchemaMap::new();
-    schemas.insert("X".into(), &sx.interface().schema);
-    schemas.insert("Y".into(), &sy.interface().schema);
-    let exec = ParallelJoinExecutor {
-        predicates: &predicates,
-        schemas: &schemas,
-        invocation,
-        completion,
-        h: decay_x.step_chunks().unwrap_or(1),
-        k,
-        options,
-        columnar,
-        pool: None,
-    };
-    exec.run(&mut x, &mut y).expect("join runs")
+    })]
 }
 
 #[test]
@@ -115,46 +122,76 @@ fn hash_kernel_is_byte_identical_across_join_methods() {
         Invocation::MergeScan { r1: 1, r2: 3 },
     ];
     let completions = [Completion::Rectangular, Completion::Triangular];
+    let req = Request::unbound().bind(AttributePath::atomic("Key"), Value::text("q"));
     let mut nested_evals = 0u64;
     let mut hashed_evals = 0u64;
     for &(dx, dy) in &decays {
-        for &inv in &invocations {
-            for &comp in &completions {
-                for &k in &[0usize, 7] {
-                    for &chunk in &[3usize, 5] {
-                        let base = run_method(dx, dy, inv, comp, chunk, k, OFF, ROW);
-                        // Every (kernel, data-plane) combination must
-                        // reproduce the row-plane nested loop byte for
-                        // byte.
-                        for opts in [OFF, HASH, HASH_PRUNED] {
-                            for plane in [COL, COL_NO_BATCH, ROW] {
-                                let accel = run_method(dx, dy, inv, comp, chunk, k, opts, plane);
-                                assert_eq!(
-                                    render(&base),
-                                    render(&accel),
-                                    "divergence at {dx:?}/{dy:?} {inv:?} {comp:?} k={k} \
-                                     chunk={chunk} opts={opts:?} plane={plane:?}"
-                                );
-                                // The data plane may move work between
-                                // scalar and batch kernels, but never
-                                // change how many candidates are judged.
-                                let row = run_method(dx, dy, inv, comp, chunk, k, opts, ROW);
-                                assert_eq!(
-                                    accel.stats.predicate_evals, row.stats.predicate_evals,
-                                    "plane {plane:?} changed predicate_evals under {opts:?}"
-                                );
-                                if !plane.batch_eval {
-                                    assert_eq!(accel.stats.batch_evals, 0);
-                                }
-                                if !plane.columnar && !plane.batch_eval {
-                                    assert_eq!(accel.stats.columns_scanned, 0);
-                                    assert_eq!(accel.stats.batch_evals, 0);
-                                }
+        for &chunk in &[3usize, 5] {
+            let (sx, sy) = join_pair_with_width(dx, dy, 40, chunk, 23, 10);
+            let mut schemas = SchemaMap::new();
+            schemas.insert("X".into(), &sx.interface().schema);
+            schemas.insert("Y".into(), &sy.interface().schema);
+            let xs = fetch_all(&mut ServiceStream::new("X", sx.as_ref(), req.clone()));
+            let ys = fetch_all(&mut ServiceStream::new("Y", sy.as_ref(), req.clone()));
+            for &inv in &invocations {
+                for &comp in &completions {
+                    for &k in &[0usize, 7] {
+                        // `=` gives the kernel a hash key; `LIKE` (exact
+                        // on these wildcard-free values) leaves it the
+                        // compiled scan.
+                        for op in [Comparator::Eq, Comparator::Like] {
+                            let predicates = link_predicate(op);
+                            let exec = ParallelJoinExecutor {
+                                predicates: &predicates,
+                                schemas: &schemas,
+                                invocation: inv,
+                                completion: comp,
+                                h: dx.step_chunks().unwrap_or(1),
+                                k,
+                                pool: None,
+                            };
+                            let cell = format!(
+                                "{dx:?}/{dy:?} {inv:?} {comp:?} k={k} chunk={chunk} op={op:?}"
+                            );
+                            // Columnar service bodies and the row view
+                            // of the same chunks.
+                            let col = exec
+                                .run(
+                                    &mut ServiceStream::new("X", sx.as_ref(), req.clone()),
+                                    &mut ServiceStream::new("Y", sy.as_ref(), req.clone()),
+                                )
+                                .expect("join runs");
+                            let row = exec
+                                .run(&mut RowChunks(xs.clone()), &mut RowChunks(ys.clone()))
+                                .expect("join runs");
+                            let (want, evals) =
+                                nested_loop_oracle(&col, &xs, &ys, &predicates, &schemas);
+                            assert_eq!(rows(&col.results), rows(&want), "oracle: {cell}");
+                            assert_eq!(render(&col), render(&row), "row view: {cell}");
+                            // The data plane may move work between scalar
+                            // and batch kernels, but never change how
+                            // many candidates are judged.
+                            assert_eq!(
+                                col.stats.predicate_evals, row.stats.predicate_evals,
+                                "{cell}"
+                            );
+                            assert!(col.stats.batch_evals > 0, "{cell}");
+                            for (t, rep) in col.tiles.iter().zip(&col.tile_representatives) {
+                                let head = |c: &[CompositeTuple]| {
+                                    c.first().map_or(1.0, |h| h.score_product())
+                                };
+                                assert_eq!(*rep, head(&xs[t.x]) * head(&ys[t.y]), "{cell}");
+                            }
+                            if op == Comparator::Eq {
+                                assert!(col.stats.index_builds > 0, "{cell}");
+                                nested_evals += evals;
+                                hashed_evals += col.stats.predicate_evals;
+                            } else {
+                                // The compiled scan judges every pair.
+                                assert_eq!(col.stats.index_builds, 0, "{cell}");
+                                assert_eq!(col.stats.predicate_evals, evals, "{cell}");
                             }
                         }
-                        let hashed = run_method(dx, dy, inv, comp, chunk, k, HASH, COL);
-                        nested_evals += base.stats.predicate_evals;
-                        hashed_evals += hashed.stats.predicate_evals;
                     }
                 }
             }
@@ -206,27 +243,32 @@ fn empty_key_tiles_are_pruned_without_changing_the_answer() {
     let mut schemas = SchemaMap::new();
     schemas.insert("X".into(), &schema);
     schemas.insert("Y".into(), &schema);
-    let run = |options: JoinIndexOptions| -> JoinOutcome {
-        let exec = ParallelJoinExecutor {
-            predicates: &predicates,
-            schemas: &schemas,
-            invocation: Invocation::merge_scan_even(),
-            completion: Completion::Rectangular,
-            h: 1,
-            k: 0,
-            options,
-            columnar: ColumnarOptions::default(),
-            pool: None,
-        };
-        // X covers city-0..3, Y covers city-2..5: tiles between the
-        // disjoint chunks share no key.
-        let mut x = MemoryStream::new(clustered("X", &schema, 40, 0), 10);
-        let mut y = MemoryStream::new(clustered("Y", &schema, 40, 2), 10);
-        exec.run(&mut x, &mut y).expect("join runs")
+    let exec = ParallelJoinExecutor {
+        predicates: &predicates,
+        schemas: &schemas,
+        invocation: Invocation::merge_scan_even(),
+        completion: Completion::Rectangular,
+        h: 1,
+        k: 0,
+        pool: None,
     };
-    let base = run(OFF);
-    let accel = run(HASH_PRUNED);
-    assert_eq!(render(&base), render(&accel));
+    // X covers city-0..3, Y covers city-2..5: tiles between the
+    // disjoint chunks share no key.
+    let (x, y) = (
+        clustered("X", &schema, 40, 0),
+        clustered("Y", &schema, 40, 2),
+    );
+    let accel = exec
+        .run(
+            &mut MemoryStream::new(x.clone(), 10),
+            &mut MemoryStream::new(y.clone(), 10),
+        )
+        .expect("join runs");
+    let chunks = |v: &[CompositeTuple]| v.chunks(10).map(<[_]>::to_vec).collect::<Vec<_>>();
+    let (want, evals) = nested_loop_oracle(&accel, &chunks(&x), &chunks(&y), &predicates, &schemas);
+    assert_eq!(rows(&accel.results), rows(&want));
+    assert!(accel.exhausted);
+    assert_eq!(accel.tiles.len(), 16, "every tile is visited");
     assert!(
         !accel.results.is_empty(),
         "the overlapping cities must match"
@@ -237,13 +279,12 @@ fn empty_key_tiles_are_pruned_without_changing_the_answer() {
         accel.stats
     );
     assert!(accel.stats.pairs_skipped > 0);
-    assert!(accel.stats.predicate_evals < base.stats.predicate_evals);
-    assert_eq!(base.stats.index_builds, 0);
+    assert!(accel.stats.predicate_evals < evals);
     assert!(accel.stats.index_builds > 0);
 }
 
-/// The E1 travel plan (Fig. 2/3), used to compare whole-engine runs
-/// with the kernel on and off.
+/// The E1 travel plan (Fig. 2/3): Conference → Weather → selection →
+/// (Flight ∥ Hotel) → parallel join.
 fn e1_plan(seed: u64) -> (QueryPlan, ServiceRegistry) {
     let registry = travel::build_registry(seed).unwrap();
     let query = QueryBuilder::new()
@@ -294,56 +335,112 @@ fn e1_plan(seed: u64) -> (QueryPlan, ServiceRegistry) {
     (plan, registry)
 }
 
+/// One input branch of the E1 join — Conference → Weather → selection
+/// → `atom` — executed on its own, yielding what the join consumes.
+fn e1_branch(seed: u64, atom: &str, service: &str, pattern: &str) -> Vec<CompositeTuple> {
+    let registry = travel::build_registry(seed).unwrap();
+    let query = QueryBuilder::new()
+        .atom("C", "Conference1")
+        .atom("W", "Weather1")
+        .atom(atom, service)
+        .pattern("Forecast", "C", "W")
+        .pattern(pattern, "C", atom)
+        .select_const("C", "Topic", Comparator::Eq, Value::text("databases"))
+        .select_const("W", "AvgTemp", Comparator::Gt, Value::Int(26))
+        .build()
+        .unwrap();
+    let mut plan = QueryPlan::new(query.clone());
+    let c = plan.add(PlanNode::Service(ServiceNode::new("C", "Conference1")));
+    let w = plan.add(PlanNode::Service(ServiceNode::new("W", "Weather1")));
+    let sel = plan.add(PlanNode::Selection(
+        SelectionNode::new(vec![query.selections[1].clone()]).with_selectivity(0.25),
+    ));
+    let s = plan.add(PlanNode::Service(
+        ServiceNode::new(atom, service).with_fetches(2),
+    ));
+    plan.connect(plan.input(), c).unwrap();
+    plan.connect(c, w).unwrap();
+    plan.connect(w, sel).unwrap();
+    plan.connect(sel, s).unwrap();
+    plan.connect(s, plan.output()).unwrap();
+    execute_plan(&plan, &registry, EngineConfig::default())
+        .unwrap()
+        .results
+}
+
+/// Whole-engine identity on E1: both executors emit exactly what the
+/// nested-loop oracle keeps over the join's two input branches, while
+/// the engine's kernel actually probes hash indexes.
 #[test]
 fn both_executors_agree_with_and_without_the_index() {
-    let opts_of = |join_index: JoinIndexOptions| EngineConfig {
-        join_k: 10,
-        join_index,
-        ..Default::default()
-    };
-    // Deterministic executor: identical emission order and counters,
-    // and the hash run must actually have built indexes.
+    let cfg = EngineConfig::default().join_k(10);
     let (plan, registry) = e1_plan(5);
-    let base = execute_plan(&plan, &registry, opts_of(OFF)).unwrap();
-    for opts in [HASH, HASH_PRUNED] {
-        let (plan, registry) = e1_plan(5);
-        let accel = execute_plan(&plan, &registry, opts_of(opts)).unwrap();
-        assert_eq!(base.results, accel.results, "under {opts:?}");
-        assert_eq!(base.total_calls, accel.total_calls);
-        assert_eq!(base.critical_ms, accel.critical_ms);
-        assert!(accel.join_stats.index_builds > 0);
-        // This plan's branches are cluster-aligned per conference (the
-        // probed bucket spans the whole chunk), so the index changes
-        // nothing about the work done — only byte-identity and the
-        // counters can be asserted.
-        assert!(accel.join_stats.probes > 0);
-        assert!(accel.join_stats.predicate_evals <= base.join_stats.predicate_evals);
+    let engine = execute_plan(&plan, &registry, cfg).unwrap();
+
+    // Replay the join node on its branches at the shape the engine
+    // reads it (each branch re-chunked at its service's chunk size).
+    let spec = plan
+        .node_ids()
+        .find_map(|id| match plan.node(id) {
+            Ok(PlanNode::ParallelJoin(spec)) => Some(spec.clone()),
+            _ => None,
+        })
+        .unwrap();
+    let predicates: Vec<ResolvedPredicate> = spec
+        .predicates
+        .into_iter()
+        .map(ResolvedPredicate::Join)
+        .collect();
+    let mut schemas = SchemaMap::new();
+    for atom in &plan.query.atoms {
+        schemas.insert(
+            atom.alias.clone(),
+            &registry.interface(&atom.service).unwrap().schema,
+        );
     }
-    assert_eq!(base.join_stats.index_builds, 0);
-    assert_eq!(base.join_stats.probes, 0);
-    assert!(base.join_stats.predicate_evals > 0);
-
-    // The columnar data plane must not change whole-engine results,
-    // calls, virtual time, or how many candidates are judged.
-    let (plan, registry) = e1_plan(5);
-    let mut row_cfg = opts_of(OFF);
-    row_cfg.columnar = ROW;
-    let row_plane = execute_plan(&plan, &registry, row_cfg).unwrap();
-    assert_eq!(base.results, row_plane.results);
-    assert_eq!(base.total_calls, row_plane.total_calls);
-    assert_eq!(base.critical_ms, row_plane.critical_ms);
-    assert_eq!(
-        base.join_stats.predicate_evals,
-        row_plane.join_stats.predicate_evals
+    let flight = registry.interface("Flight1").unwrap();
+    let hotel_chunk = registry.interface("Hotel1").unwrap().stats.chunk_size;
+    let left = e1_branch(5, "F", "Flight1", "ReachedBy");
+    let right = e1_branch(5, "H", "Hotel1", "StayAt");
+    let kernel = ParallelJoinExecutor {
+        predicates: &predicates,
+        schemas: &schemas,
+        invocation: spec.invocation,
+        completion: spec.completion,
+        h: flight.decay.step_chunks().unwrap_or(1),
+        k: 10,
+        pool: None,
+    }
+    .run(
+        &mut MemoryStream::new(left.clone(), flight.stats.chunk_size),
+        &mut MemoryStream::new(right.clone(), hotel_chunk),
+    )
+    .unwrap();
+    let chunks =
+        |v: &[CompositeTuple], n: usize| v.chunks(n).map(<[_]>::to_vec).collect::<Vec<_>>();
+    let (want, evals) = nested_loop_oracle(
+        &kernel,
+        &chunks(&left, flight.stats.chunk_size),
+        &chunks(&right, hotel_chunk),
+        &predicates,
+        &schemas,
     );
-    assert_eq!(row_plane.join_stats.batch_evals, 0);
-    assert_eq!(row_plane.join_stats.columns_scanned, 0);
+    assert!(!want.is_empty(), "E1 must produce combinations");
+    assert_eq!(rows(&kernel.results), rows(&want));
+    assert!(kernel.stats.predicate_evals <= evals);
 
-    // Pipelined executor: same combinations either way.
+    // Deterministic executor: the oracle's rows, in its order, and the
+    // hash index must actually have fired.
+    assert_eq!(rows(&engine.results), rows(&want));
+    assert!(engine.join_stats.index_builds > 0);
+    // This plan's branches are cluster-aligned per conference (the
+    // probed bucket spans the whole chunk), so the index changes
+    // nothing about the work done — only the counters can be asserted.
+    assert!(engine.join_stats.probes > 0);
+
+    // Pipelined executor: the same rows.
     let (plan, registry) = e1_plan(5);
-    let par_base = execute_parallel_with(&plan, &registry, opts_of(OFF)).unwrap();
-    let (plan, registry) = e1_plan(5);
-    let par_accel = execute_parallel_with(&plan, &registry, opts_of(HASH)).unwrap();
-    assert_eq!(par_base.results, par_accel.results);
-    assert!(par_accel.join_stats.index_builds > 0);
+    let par = execute_parallel_with(&plan, &registry, cfg).unwrap();
+    assert_eq!(rows(&par.results), rows(&want));
+    assert!(par.join_stats.index_builds > 0);
 }

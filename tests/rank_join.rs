@@ -1,19 +1,13 @@
-//! Correctness of the two top-k kernels added to the join layer:
+//! Correctness of the top-k rank join:
 //!
-//! * the **rank join** must return exactly the first `k` entries of the
-//!   score-sorted full enumeration (not just "k good tuples"), for any
-//!   invocation, completion, decay, chunking, and index mode;
-//! * the **n-ary kernel** must be *byte-identical* to the binary
-//!   cascade it replaces — same combinations in the same emission
-//!   order — across the same grid of join methods the hash-index suite
-//!   uses, while materializing no intermediate composites;
-//! * both engine executors must honor the `rank_join` / `nary_join`
-//!   configuration flags end to end.
+//! * it must return exactly the first `k` entries of the score-sorted
+//!   full enumeration (not just "k good tuples"), for any invocation,
+//!   completion, decay, and chunking;
+//! * both engine executors must honor the `rank_join` configuration
+//!   flag end to end.
 
 use search_computing::join::executor::{MemoryStream, ParallelJoinExecutor};
-use search_computing::join::{
-    score_order, ColumnarOptions, JoinIndexMode, JoinIndexOptions, NaryJoin, NaryStage, RankJoin,
-};
+use search_computing::join::{score_order, RankJoin};
 use search_computing::plan::{JoinSpec, PlanNode, ServiceNode};
 use search_computing::prelude::*;
 use search_computing::query::predicate::{ResolvedPredicate, SchemaMap};
@@ -21,19 +15,6 @@ use search_computing::query::{JoinPredicate, QualifiedPath};
 use seco_bench::star_scenario;
 use seco_model::{
     Adornment, AttributeDef, AttributePath, DataType, ScoringFunction, ServiceSchema, Tuple,
-};
-
-const OFF: JoinIndexOptions = JoinIndexOptions {
-    mode: JoinIndexMode::Off,
-    tile_prune: false,
-};
-const HASH: JoinIndexOptions = JoinIndexOptions {
-    mode: JoinIndexMode::Hash,
-    tile_prune: false,
-};
-const HASH_PRUNED: JoinIndexOptions = JoinIndexOptions {
-    mode: JoinIndexMode::Hash,
-    tile_prune: true,
 };
 
 fn schema(name: &str) -> ServiceSchema {
@@ -84,8 +65,8 @@ fn eq_pred(la: &str, ra: &str) -> ResolvedPredicate {
     })
 }
 
-/// Seeded property test: for random decays, sizes, chunkings, join
-/// methods, and index modes, the rank join's output at k ∈ {1, 5, 20}
+/// Seeded property test: for random decays, sizes, chunkings, and join
+/// methods, the rank join's output at k ∈ {1, 5, 20}
 /// equals the first k entries of the full enumeration sorted by the
 /// canonical score order — ties included, bound checks performed.
 #[test]
@@ -130,7 +111,8 @@ fn rank_join_top_k_is_the_sorted_enumeration_prefix() {
         let chunk = 2 + (next() % 5) as usize;
         let inv = invocations[(next() % 3) as usize];
         let comp = completions[(next() % 2) as usize];
-        let options = if next() % 2 == 0 { OFF } else { HASH };
+        // Unused draw: keeps the seeded sequence of trial parameters.
+        next();
         let a = stream_data("A", &sa, na, dx, modulus, 0);
         let b = stream_data("B", &sb, nb, dy, modulus, (next() % 3) as usize);
 
@@ -142,8 +124,6 @@ fn rank_join_top_k_is_the_sorted_enumeration_prefix() {
             completion: Completion::Rectangular,
             h: 1,
             k: 0,
-            options: OFF,
-            columnar: ColumnarOptions::default(),
             pool: None,
         };
         let mut sx = MemoryStream::new(a.clone(), chunk);
@@ -157,7 +137,6 @@ fn rank_join_top_k_is_the_sorted_enumeration_prefix() {
                     invocation: inv,
                     completion: comp,
                     k,
-                    options,
                     pool: None,
                     ..full
                 },
@@ -176,210 +155,6 @@ fn rank_join_top_k_is_the_sorted_enumeration_prefix() {
             assert_eq!(out.stats.chunks_fetched, (out.calls_x + out.calls_y) as u64);
         }
     }
-}
-
-/// The reference for the n-ary kernel: two chained binary runs with
-/// identical parameters, the middle materialized as usual.
-#[allow(clippy::too_many_arguments)]
-fn cascade(
-    schemas: &SchemaMap<'_>,
-    groups: (&[CompositeTuple], &[CompositeTuple], &[CompositeTuple]),
-    p1: &[ResolvedPredicate],
-    p2: &[ResolvedPredicate],
-    invocation: Invocation,
-    completion: Completion,
-    k: usize,
-    chunk: usize,
-    options: JoinIndexOptions,
-) -> Vec<CompositeTuple> {
-    let e1 = ParallelJoinExecutor {
-        predicates: p1,
-        schemas,
-        invocation,
-        completion,
-        h: 1,
-        k,
-        options,
-        columnar: ColumnarOptions::default(),
-        pool: None,
-    };
-    let mut sa = MemoryStream::new(groups.0.to_vec(), chunk);
-    let mut sb = MemoryStream::new(groups.1.to_vec(), chunk);
-    let mid = e1.run(&mut sa, &mut sb).unwrap().results;
-    let e2 = ParallelJoinExecutor {
-        predicates: p2,
-        ..e1
-    };
-    let mut sm = MemoryStream::new(mid, chunk);
-    let mut sc = MemoryStream::new(groups.2.to_vec(), chunk);
-    e2.run(&mut sm, &mut sc).unwrap().results
-}
-
-/// Across the hash-index suite's grid of decays × invocations ×
-/// completions × k × chunk sizes — with and without tile pruning — the
-/// n-ary kernel must emit exactly what the binary cascade emits, while
-/// eliding the intermediate composites the cascade materializes.
-#[test]
-fn nary_kernel_is_byte_identical_to_the_cascade_across_the_grid() {
-    let sa = schema("A1");
-    let sb = schema("B1");
-    let sc = schema("C1");
-    let mut schemas = SchemaMap::new();
-    schemas.insert("A".into(), &sa);
-    schemas.insert("B".into(), &sb);
-    schemas.insert("C".into(), &sc);
-    let p1 = vec![eq_pred("A", "B")];
-    let p2 = vec![eq_pred("B", "C")];
-
-    let decays = [
-        (ScoreDecay::Linear, ScoreDecay::Quadratic),
-        (
-            ScoreDecay::Step {
-                h: 2,
-                high: 0.9,
-                low: 0.1,
-            },
-            ScoreDecay::Linear,
-        ),
-    ];
-    let invocations = [
-        Invocation::NestedLoop,
-        Invocation::merge_scan_even(),
-        Invocation::MergeScan { r1: 1, r2: 3 },
-    ];
-    let completions = [Completion::Rectangular, Completion::Triangular];
-
-    for &(da, db) in &decays {
-        let a = stream_data("A", &sa, 18, da, 3, 0);
-        let b = stream_data("B", &sb, 15, db, 3, 1);
-        let c = stream_data("C", &sc, 21, ScoreDecay::Linear, 4, 2);
-        for &inv in &invocations {
-            for &comp in &completions {
-                for &k in &[0usize, 7] {
-                    for &chunk in &[3usize, 5] {
-                        for &(options, prune) in &[(HASH, false), (HASH_PRUNED, true)] {
-                            let want = cascade(
-                                &schemas,
-                                (&a, &b, &c),
-                                &p1,
-                                &p2,
-                                inv,
-                                comp,
-                                k,
-                                chunk,
-                                options,
-                            );
-                            let stage = |preds| NaryStage {
-                                predicates: preds,
-                                invocation: inv,
-                                completion: comp,
-                                h: 1,
-                                k,
-                                left_chunk: chunk,
-                                right_chunk: chunk,
-                            };
-                            let nj = NaryJoin {
-                                schemas: &schemas,
-                                tile_prune: prune,
-                                pool: None,
-                            };
-                            let out = nj
-                                .run(
-                                    &[a.clone(), b.clone(), c.clone()],
-                                    &[stage(&p1), stage(&p2)],
-                                )
-                                .unwrap()
-                                .expect("disjoint 3-way chain is eligible");
-                            assert_eq!(
-                                out.results, want,
-                                "da={da:?} db={db:?} inv={inv:?} comp={comp:?} \
-                                 k={k} chunk={chunk} prune={prune}"
-                            );
-                            if k == 0 && !want.is_empty() {
-                                assert!(
-                                    out.stats.intermediates_elided > 0,
-                                    "a non-empty full run must elide intermediates"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A left-deep chain over three independently reachable star services:
-/// `(A1 ⋈ A2) ⋈ A3`, the shape the engine's fusion pass recognizes.
-fn star_chain_plan(seed: u64) -> (QueryPlan, ServiceRegistry) {
-    let (registry, query) = star_scenario(3, seed);
-    let joins = query.expanded_joins(&registry).unwrap();
-    let pick = |x: &str, y: &str| -> Vec<_> {
-        joins.iter().filter(|j| j.connects(x, y)).cloned().collect()
-    };
-    let mut plan = QueryPlan::new(query.clone());
-    let s1 = plan.add(PlanNode::Service(
-        ServiceNode::new("A1", "Star1").with_fetches(3),
-    ));
-    let s2 = plan.add(PlanNode::Service(
-        ServiceNode::new("A2", "Star2").with_fetches(3),
-    ));
-    let s3 = plan.add(PlanNode::Service(
-        ServiceNode::new("A3", "Star3").with_fetches(3),
-    ));
-    let j1 = plan.add(PlanNode::ParallelJoin(JoinSpec {
-        invocation: Invocation::merge_scan_even(),
-        completion: Completion::Rectangular,
-        predicates: pick("A1", "A2"),
-        selectivity: 1.0,
-    }));
-    let j2 = plan.add(PlanNode::ParallelJoin(JoinSpec {
-        invocation: Invocation::merge_scan_even(),
-        completion: Completion::Rectangular,
-        predicates: pick("A1", "A3"),
-        selectivity: 1.0,
-    }));
-    plan.connect(plan.input(), s1).unwrap();
-    plan.connect(plan.input(), s2).unwrap();
-    plan.connect(plan.input(), s3).unwrap();
-    plan.connect(s1, j1).unwrap();
-    plan.connect(s2, j1).unwrap();
-    plan.connect(j1, j2).unwrap();
-    plan.connect(s3, j2).unwrap();
-    plan.connect(j2, plan.output()).unwrap();
-    (plan, registry)
-}
-
-/// Both engine executors must produce byte-identical results with the
-/// n-ary fusion on, with the same service-call totals, while actually
-/// eliding the chain's intermediate composites.
-#[test]
-fn engine_fuses_left_deep_chains_byte_identically() {
-    let cfg = |nary: bool| EngineConfig {
-        join_k: 10,
-        nary_join: nary,
-        ..Default::default()
-    };
-    let (plan, registry) = star_chain_plan(11);
-    let base = execute_plan(&plan, &registry, cfg(false)).unwrap();
-    let (plan, registry) = star_chain_plan(11);
-    let fused = execute_plan(&plan, &registry, cfg(true)).unwrap();
-    assert!(!base.results.is_empty(), "chain must produce combinations");
-    assert_eq!(base.results, fused.results);
-    assert_eq!(base.total_calls, fused.total_calls);
-    assert_eq!(base.join_stats.intermediates_elided, 0);
-    assert!(fused.join_stats.intermediates_elided > 0);
-
-    let (plan, registry) = star_chain_plan(11);
-    let par_base = execute_parallel_with(&plan, &registry, cfg(false)).unwrap();
-    let (plan, registry) = star_chain_plan(11);
-    let par_fused = execute_parallel_with(&plan, &registry, cfg(true)).unwrap();
-    // Both executors read every join at the plan-derived shape, so the
-    // pipelined runs return the deterministic rows, fused or not.
-    assert_eq!(par_base.results, base.results);
-    assert_eq!(par_fused.results, base.results);
-    assert!(!par_base.results.is_empty());
-    assert!(par_fused.join_stats.intermediates_elided > 0);
 }
 
 /// With `rank_join` on, both executors must return the true top-k of
@@ -434,7 +209,7 @@ fn engine_rank_join_returns_the_true_top_k() {
         ..Default::default()
     };
     let (plan, registry) = star_pair_plan(7);
-    let ranked = execute_plan(&plan, &registry, cfg.clone()).unwrap();
+    let ranked = execute_plan(&plan, &registry, cfg).unwrap();
     assert_eq!(ranked.results, want);
     assert!(ranked.join_stats.bound_checks > 0);
     assert!(
