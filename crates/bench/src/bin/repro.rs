@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 
 use seco_bench::{chain_scenario, join_pair, star_scenario};
-use seco_engine::{execute_parallel, execute_plan, EngineConfig, ResultSet};
+use seco_engine::{execute_plan, EngineConfig, ResultSet};
 use seco_join::completion::explore;
 use seco_join::executor::{ParallelJoinExecutor, ServiceStream};
 use seco_join::optimality::{
@@ -949,20 +949,17 @@ fn e16() -> Result<(), DynError> {
             })
         });
         let rs = ResultSet::new(outcome.results.clone(), query.ranking.clone());
-        let par = execute_parallel(&best.plan, &registry, EngineConfig::default())?;
         println!(
-            "{:<16} emitted {:>3} / sound: {sound} / calls {:>3} / inversion rate {:.3} / parallel executor agrees: {}",
+            "{:<16} emitted {:>3} / sound: {sound} / calls {:>3} / inversion rate {:.3}",
             metric.to_string(),
             outcome.results.len(),
             outcome.total_calls,
             rs.ranking_inversion_rate(),
-            par.len() == outcome.results.len(),
         );
         rows.push(serde_json::json!({
             "metric": metric.to_string(), "emitted": outcome.results.len(),
             "oracle": oracle.len(), "sound": sound, "calls": outcome.total_calls,
             "inversion_rate": rs.ranking_inversion_rate(),
-            "parallel_agrees": par.len() == outcome.results.len(),
         }));
     }
     save_json("e16", serde_json::json!(rows))

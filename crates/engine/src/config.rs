@@ -5,9 +5,8 @@
 //! builder-style value — the single configuration surface of the engine
 //! and of `seco serve`. The join kernel itself has no switches: it picks
 //! hash probe, compiled scan, or batch kernels from its inputs.
-//! Every `seco run` CLI flag maps 1:1 to a builder method, and both
-//! executors ([`crate::execute_plan`] and [`crate::execute_parallel`])
-//! consume it directly.
+//! Every `seco run` CLI flag maps 1:1 to a builder method, and the
+//! executor ([`crate::execute_plan`]) consumes it directly.
 
 use seco_optimizer::CostMetric;
 use seco_services::ClientConfig;

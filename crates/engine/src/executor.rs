@@ -12,9 +12,9 @@
 //!   preserving the strategy's emission order;
 //! * the **output node** collects the final combinations.
 //!
-//! The node operators themselves live in [`crate::ops`], shared with
-//! the pipelined executor; this module schedules them, replays
-//! memoized stages across adaptive restarts, and accounts time.
+//! The node operators themselves live in [`crate::ops`]; this module
+//! schedules them, replays memoized stages across adaptive restarts,
+//! and accounts time.
 //!
 //! Time is accounted on the virtual clock: each node's busy time is its
 //! calls × the service's response time; the plan's critical-path time
@@ -338,7 +338,7 @@ fn run_pass(
                 PlanNode::Service(node) => {
                     let input = &outputs[preds_nodes[0].0];
                     let recorded = registry.service(&node.service)?;
-                    let service = state.stack_for(&node.service, &recorded, &options, false);
+                    let service = state.stack_for(&node.service, &recorded, &options);
                     let clock_before = clock.now_ms();
                     let busy_before = recorded.stats().busy_ms;
                     let outcome =

@@ -5,16 +5,17 @@
 //! integrate them progressively, forming the answers as combinations of
 //! partial invocation results" (§3).
 //!
-//! Two executors are provided:
-//!
-//! * [`executor::execute_plan`] — deterministic, single-threaded
-//!   dataflow execution with virtual-time accounting; every experiment
-//!   uses it because runs are bit-for-bit reproducible;
-//! * [`parallel::execute_parallel`] — a pipelined executor that runs
-//!   every service node in its own thread connected by bounded
-//!   crossbeam channels, demonstrating the "data shipped in pipelines
-//!   from one service to another, so as to maximize parallelism" (§2.2)
-//!   design on real OS threads.
+//! One executor runs every plan: [`executor::execute_plan`] (and its
+//! daemon entry point [`executor::execute_plan_shared`]) walks the plan
+//! in topological order over the node operators of `ops`, with
+//! virtual-time accounting, so runs are bit-for-bit reproducible. The
+//! chapter's pipelining — "data shipped in pipelines from one service
+//! to another, so as to maximize parallelism" (§2.2) — is reproduced
+//! in that accounting: each node's busy time is charged on the virtual
+//! clock and the plan's elapsed time is its critical path over the
+//! DAG, exactly as the execution-time cost metric computes it. Join
+//! kernels run morsels on the shared [`seco_exec::ExecPool`] when
+//! `exec_workers > 1`, byte-identically to the serial path.
 //!
 //! [`output`] assembles results under the global ranking function:
 //! emission order is preserved (the non-blocking dataflow of §4.1) and
@@ -28,7 +29,6 @@ pub mod error;
 pub mod executor;
 mod ops;
 pub mod output;
-pub mod parallel;
 pub mod shared;
 pub mod trace;
 
@@ -37,9 +37,6 @@ pub use config::EngineConfig;
 pub use error::EngineError;
 pub use executor::{execute_plan, execute_plan_shared, ExecutionResult, FailureMode, FetchOptions};
 pub use output::ResultSet;
-pub use parallel::{
-    execute_parallel, execute_parallel_session, execute_parallel_with, BatchSink, ParallelOutcome,
-};
 pub use seco_join::JoinStats;
 pub use shared::SharedState;
 pub use trace::{ExecutionTrace, TraceEvent};

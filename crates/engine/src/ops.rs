@@ -1,13 +1,10 @@
-//! The node operators both executors share.
+//! The node operators of the executor.
 //!
-//! A plan has one meaning: §2.2's pipelining changes only *when* stages
-//! run, not *what* they return. The deterministic executor
-//! ([`crate::executor`]) walks the plan in topological order and the
-//! pipelined executor ([`crate::parallel`]) connects node tasks by
-//! channels, but both evaluate every node through the operators below —
-//! pipe-join stages, selections, and parallel joins — with every join
-//! read at the shape [`JoinShape::of`] derives from the plan. Both therefore return the same rows in the same
-//! order; the executors only schedule nodes and track degradation.
+//! [`crate::executor`] walks the plan in topological order and
+//! evaluates every node through the operators below — pipe-join
+//! stages, selections, and parallel joins — with every join read at the
+//! shape [`JoinShape::of`] derives from the plan; the executor itself
+//! only schedules nodes, tracks degradation, and accounts time.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -124,11 +121,6 @@ impl<'a> Operators<'a> {
             schemas,
             pool,
         })
-    }
-
-    /// The join kernels' morsel pool, when `exec_workers > 1`.
-    pub(crate) fn pool(&self) -> Option<&Arc<ExecPool>> {
-        self.pool.as_ref()
     }
 
     fn degrade(&self) -> bool {

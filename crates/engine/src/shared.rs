@@ -11,9 +11,8 @@
 //! every cache hit earned by one request benefits the next.
 //!
 //! The state also owns the optional shared [`seco_exec::ExecPool`]:
-//! every thread a daemon execution needs — morsel workers for the join
-//! kernels and pipelined plan-node fan-out — lives exactly as long as
-//! this value. Dropping it (or
+//! every thread a daemon execution needs — the morsel workers of the
+//! join kernels — lives exactly as long as this value. Dropping it (or
 //! calling [`SharedState::shutdown`]) stops and joins the pool's
 //! workers — nothing spawned on behalf of an execution can outlive the
 //! engine state that requested it.
@@ -22,8 +21,8 @@
 //! `critical_ms` deltas measured by concurrent executions overlap on
 //! one daemon-wide timeline. Results, call counts, and cache counters
 //! stay exact; per-request virtual-time attribution is only meaningful
-//! when requests run serially (the one-shot executors are unaffected —
-//! they build a private `SharedState` per pass).
+//! when requests run serially (a one-shot execution is unaffected — it
+//! builds a private `SharedState` per pass).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,20 +34,10 @@ use seco_services::{CachingService, CallRecorder, Service, ServiceClient, Virtua
 
 use crate::config::EngineConfig;
 
-/// Clock binding of a stack's resilient client: the deterministic
-/// executor drives a virtual timeline, the pipelined executor real
-/// wall time. The two produce distinct breaker/cooldown dynamics, so a
-/// service invoked by both executors keeps one stack per mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum ClockMode {
-    Virtual,
-    Wall,
-}
-
 /// Cross-request execution state: per-service fetch stacks, the shared
 /// virtual clock, and the daemon's work-stealing executor pool — one
-/// pool shared by every session's morsels and plan-node tasks. Cheap to share (`Arc<SharedState>`), safe to use from
-/// concurrent sessions.
+/// pool shared by every session's join morsels. Cheap to share
+/// (`Arc<SharedState>`), safe to use from concurrent sessions.
 ///
 /// Stacks are built lazily from the *first* execution's
 /// [`EngineConfig`] that touches each service; a daemon runs all
@@ -57,13 +46,12 @@ enum ClockMode {
 pub struct SharedState {
     clock: Arc<VirtualClock>,
     pool: Option<Arc<ExecPool>>,
-    stacks: Mutex<BTreeMap<(String, ClockMode), Arc<dyn Service>>>,
+    stacks: Mutex<BTreeMap<String, Arc<dyn Service>>>,
 }
 
 impl SharedState {
-    /// Fresh state with no executor pool: joins run serially and the
-    /// pipelined executor spawns one scoped thread per plan node,
-    /// exactly as the one-shot executors always did.
+    /// Fresh state with no executor pool: joins run serially, or on a
+    /// pool local to the execution when `exec_workers > 1`.
     pub fn new() -> Self {
         SharedState {
             clock: VirtualClock::new(),
@@ -72,11 +60,10 @@ impl SharedState {
         }
     }
 
-    /// Daemon-grade state: join morsels and plan-node fan-out both run
-    /// on one work-stealing pool of `exec_workers` threads owned by
-    /// this value and stopped when it drops. `exec_workers = 1` keeps
-    /// the pool for plan-node fan-out but executions take the exact
-    /// serial join code path.
+    /// Daemon-grade state: join morsels run on one work-stealing pool
+    /// of `exec_workers` threads owned by this value and stopped when
+    /// it drops. At `exec_workers = 1` executions take the exact serial
+    /// join code path.
     pub fn for_daemon(exec_workers: usize) -> Self {
         SharedState {
             clock: VirtualClock::new(),
@@ -118,34 +105,26 @@ impl SharedState {
         service: &str,
         recorded: &Arc<CallRecorder>,
         options: &EngineConfig,
-        wall_clock: bool,
     ) -> Arc<dyn Service> {
-        let mode = if wall_clock {
-            ClockMode::Wall
-        } else {
-            ClockMode::Virtual
-        };
-        let key = (service.to_owned(), mode);
         let mut stacks = self.stacks.lock();
-        if let Some(stack) = stacks.get(&key) {
+        if let Some(stack) = stacks.get(service) {
             return stack.clone();
         }
         let mut stack: Arc<dyn Service> = recorded.clone();
         if let Some(cfg) = options.client {
-            let builder = ServiceClient::for_recorded(recorded.clone()).config(cfg);
-            let builder = if wall_clock {
-                builder.wall_clock()
-            } else {
-                builder.virtual_clock(self.clock.clone())
-            };
-            stack = Arc::new(builder.build());
+            stack = Arc::new(
+                ServiceClient::for_recorded(recorded.clone())
+                    .config(cfg)
+                    .virtual_clock(self.clock.clone())
+                    .build(),
+            );
         }
         if let Some((shards, capacity)) = options.fetch.cache() {
             stack = Arc::new(
                 CachingService::sharded(stack, capacity, shards).with_recorder(recorded.clone()),
             );
         }
-        stacks.insert(key, stack.clone());
+        stacks.insert(service.to_owned(), stack.clone());
         stack
     }
 }
@@ -161,20 +140,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stacks_are_built_once_per_service_and_mode() {
+    fn stacks_are_built_once_per_service() {
         let state = SharedState::new();
         let registry =
             seco_services::domains::entertainment::build_registry(7).expect("registry builds");
         let recorded = registry.service("Movie1").expect("service exists");
         let options = EngineConfig::default().cache_shards(4);
-        let a = state.stack_for("Movie1", &recorded, &options, false);
-        let b = state.stack_for("Movie1", &recorded, &options, false);
+        let a = state.stack_for("Movie1", &recorded, &options);
+        let b = state.stack_for("Movie1", &recorded, &options);
         assert!(Arc::ptr_eq(&a, &b), "same stack on repeat lookup");
         assert_eq!(state.stack_count(), 1);
-        // Wall-clock mode is a distinct stack (distinct breaker rules).
-        let w = state.stack_for("Movie1", &recorded, &options, true);
-        assert!(!Arc::ptr_eq(&a, &w));
-        assert_eq!(state.stack_count(), 2);
     }
 
     #[test]

@@ -2,19 +2,12 @@
 //!
 //! One [`ExecPool`] per daemon (or per `seco run` invocation) replaces
 //! every bespoke thread the engine used to spawn: the optimizer's
-//! phase-2 search workers, the parallel executor's per-node fan-out,
-//! and the join kernels' own morsels. The pool has two tiers:
-//!
-//! * a **compute tier**: a fixed set of workers (one per configured
-//!   core), each with its own deque. Idle workers first drain their
-//!   own deque from the front, then steal from the *back* of a
-//!   sibling's deque. Compute jobs must never block on other compute
-//!   jobs' channels — they are leaves (morsels, optimizer probes).
-//! * a **blocking tier**: an elastic set of cached threads for tasks
-//!   that rendezvous with each other over channels (the parallel
-//!   executor's plan nodes). Running those on a fixed pool would
-//!   deadlock, so the pool spawns blocking threads on demand, parks
-//!   them when idle, and joins them on shutdown.
+//! phase-2 search workers and the join kernels' own morsels. It is a
+//! compute tier only: a fixed set of workers (one per configured
+//! core), each with its own deque. Idle workers first drain their own
+//! deque from the front, then steal from the *back* of a sibling's
+//! deque. Jobs must never block on other jobs — they are leaves
+//! (morsels, optimizer probes).
 //!
 //! Determinism is the caller's job — [`ExecPool::scope_run`] returns
 //! results in task-submission order so callers can reduce in a fixed
@@ -36,7 +29,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
@@ -61,7 +54,7 @@ pub struct ExecStats {
     /// Sum of per-batch `max(longest morsel, sum / workers)` — the
     /// greedy-scheduling lower bound on parallel wall time.
     pub makespan_micros: u64,
-    /// Live threads: compute workers + cached blocking threads.
+    /// Live compute workers.
     pub threads_alive: usize,
 }
 
@@ -84,17 +77,9 @@ struct Inner {
     serial_micros: AtomicU64,
     makespan_micros: AtomicU64,
     threads_alive: AtomicUsize,
-
-    /// Blocking tier: elastic queue + free-thread balance. The balance
-    /// is `ready threads - queued jobs`; a submitter that drives it
-    /// negative spawns a thread so rendezvousing tasks can never wait
-    /// on each other for a worker.
-    blocking_queue: Mutex<VecDeque<Job>>,
-    blocking_cv: Condvar,
-    blocking_free: AtomicI64,
 }
 
-/// The shared two-tier worker pool. See the crate docs for the model.
+/// The shared compute pool. See the crate docs for the model.
 pub struct ExecPool {
     inner: Arc<Inner>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -124,9 +109,6 @@ impl ExecPool {
             serial_micros: AtomicU64::new(0),
             makespan_micros: AtomicU64::new(0),
             threads_alive: AtomicUsize::new(0),
-            blocking_queue: Mutex::new(VecDeque::new()),
-            blocking_cv: Condvar::new(),
-            blocking_free: AtomicI64::new(0),
         });
         let mut handles = Vec::with_capacity(workers);
         for idx in 0..workers {
@@ -155,7 +137,7 @@ impl ExecPool {
         self.inner.workers
     }
 
-    /// Live pool threads (compute + cached blocking). Zero after
+    /// Live pool threads. Zero after
     /// [`ExecPool::shutdown`].
     pub fn threads_alive(&self) -> usize {
         self.inner.threads_alive.load(Ordering::SeqCst)
@@ -284,95 +266,6 @@ impl ExecPool {
         out
     }
 
-    /// Runs channel-rendezvous tasks (plan-node bodies) on the elastic
-    /// blocking tier and waits for all of them. Threads are spawned on
-    /// demand, cached between scopes, and joined on shutdown. The first
-    /// panicking task's payload is resumed after every task finishes.
-    pub fn scope_blocking<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        let n = tasks.len();
-        if n == 0 {
-            return;
-        }
-        let remaining = Arc::new((Mutex::new(n), Condvar::new()));
-        let panic: Arc<Mutex<Option<Box<dyn std::any::Any + Send>>>> = Arc::new(Mutex::new(None));
-        for f in tasks {
-            let remaining = Arc::clone(&remaining);
-            let panic = Arc::clone(&panic);
-            let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(f));
-                if let Err(p) = result {
-                    let mut slot = panic.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(p);
-                    }
-                }
-                let mut left = remaining.0.lock().unwrap();
-                *left -= 1;
-                if *left == 0 {
-                    remaining.1.notify_all();
-                }
-            });
-            // SAFETY: as in `scope_run` — this scope blocks on the
-            // latch until every task has completed, so `'env` borrows
-            // outlive every use.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-            // Balance goes non-positive => no ready thread for this
-            // task: spawn one and credit the capacity it adds, so the
-            // pool converges on its high-water thread count instead of
-            // re-spawning for every scope.
-            if self.inner.blocking_free.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                self.inner.blocking_free.fetch_add(1, Ordering::SeqCst);
-                self.spawn_blocking_thread();
-            }
-            let mut q = self.inner.blocking_queue.lock().unwrap();
-            q.push_back(job);
-            drop(q);
-            self.inner.blocking_cv.notify_one();
-        }
-        let mut left = remaining.0.lock().unwrap();
-        while *left > 0 {
-            left = remaining.1.wait(left).unwrap();
-        }
-        drop(left);
-        let p = panic.lock().unwrap().take();
-        if let Some(p) = p {
-            resume_unwind(p);
-        }
-    }
-
-    fn spawn_blocking_thread(&self) {
-        let inner = Arc::clone(&self.inner);
-        inner.threads_alive.fetch_add(1, Ordering::SeqCst);
-        let handle = thread::Builder::new()
-            .name("seco-exec-blk".into())
-            .spawn(move || {
-                loop {
-                    let mut q = inner.blocking_queue.lock().unwrap();
-                    let job = loop {
-                        if let Some(job) = q.pop_front() {
-                            break Some(job);
-                        }
-                        if inner.stop.load(Ordering::SeqCst) {
-                            break None;
-                        }
-                        q = inner.blocking_cv.wait(q).unwrap();
-                    };
-                    drop(q);
-                    match job {
-                        Some(job) => {
-                            job();
-                            inner.blocking_free.fetch_add(1, Ordering::SeqCst);
-                        }
-                        None => break,
-                    }
-                }
-                inner.threads_alive.fetch_sub(1, Ordering::SeqCst);
-            })
-            .expect("spawn blocking worker");
-        self.handles.lock().unwrap().push(handle);
-    }
-
     /// Stops and joins every pool thread. Queued compute jobs are
     /// drained (run, not dropped) before workers exit, so in-flight
     /// scopes complete. Idempotent; also invoked by `Drop`.
@@ -384,10 +277,6 @@ impl ExecPool {
         {
             let _g = self.inner.gate.lock().unwrap();
             self.inner.cv.notify_all();
-        }
-        {
-            let _q = self.inner.blocking_queue.lock().unwrap();
-            self.inner.blocking_cv.notify_all();
         }
         let handles = std::mem::take(&mut *self.handles.lock().unwrap());
         for handle in handles {
@@ -543,30 +432,6 @@ mod tests {
         // The caller runs its own morsels alongside the single worker.
         let out = pool.scope_run((0..16).map(|i| move || i).collect::<Vec<_>>());
         assert_eq!(out.len(), 16);
-    }
-
-    #[test]
-    fn scope_blocking_supports_channel_rendezvous() {
-        let pool = ExecPool::new(1);
-        let (tx, rx) = std::sync::mpsc::sync_channel::<u32>(0);
-        let total = Arc::new(AtomicUsize::new(0));
-        let total2 = Arc::clone(&total);
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
-            Box::new(move || {
-                for i in 0..100 {
-                    tx.send(i).unwrap();
-                }
-            }),
-            Box::new(move || {
-                while let Ok(v) = rx.recv() {
-                    total2.fetch_add(v as usize, Ordering::SeqCst);
-                }
-            }),
-        ];
-        pool.scope_blocking(tasks);
-        assert_eq!(total.load(Ordering::SeqCst), 4950);
-        pool.shutdown();
-        assert_eq!(pool.threads_alive(), 0, "blocking threads joined");
     }
 
     #[test]

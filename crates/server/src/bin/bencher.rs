@@ -98,8 +98,8 @@ fn boot(name: &str) -> (seco_server::ServerHandle, String, usize) {
     let config = ServerConfig {
         max_sessions: 8192,
         max_concurrent: 16,
-        // All sessions share one 4-worker executor pool (morsels,
-        // optimizer fan-out, plan-node tasks).
+        // All sessions share one 4-worker executor pool (join
+        // morsels, optimizer fan-out).
         exec_workers: 4,
         ..Default::default()
     };

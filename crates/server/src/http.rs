@@ -93,6 +93,15 @@ pub const MAX_BODY_BYTES: usize = 1 << 20;
 /// more of it is buffered.
 pub const MAX_HEADER_BYTES: usize = 8 << 10;
 
+/// How long a read on an accepted connection may wait for the client.
+/// Clients send the whole request at once, so a connection that stays
+/// silent this long is closed instead of pinning its handler thread.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long a write on an accepted connection may wait for the client
+/// to drain its receive buffer before the connection is closed.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Reads one line of the request head, charging it to `budget`.
 /// `Some("")` at EOF; `None` when the line overruns what is left of the
 /// budget (at most `budget + 1` bytes are read in that case).

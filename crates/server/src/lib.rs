@@ -10,7 +10,7 @@
 //!   session is a cache hit for the next (until a statistics promotion
 //!   rolls the epoch and invalidates it);
 //! * one [`seco_engine::SharedState`] — per-service fetch stacks
-//!   (sharded response caches, circuit breakers) and the speculation
+//!   (sharded response caches, circuit breakers) and the executor
 //!   pool stay warm across requests;
 //! * per-query [`session::Session`]s — kept cursors that the
 //!   liquid-query continuations (`more`, `rerank`, `expand`) operate

@@ -5,32 +5,27 @@
 //!
 //! | Route | Meaning |
 //! |---|---|
-//! | `POST /query?tenant=T&mode=det\|par&stream=1&k=N&chunk=C` | Parse the body as a SeCo query, plan it through the shared [`PlanCache`](seco_optimizer::PlanCache), execute against the warm shared state, open a session. |
+//! | `POST /query?tenant=T&stream=1&k=N&chunk=C` | Parse the body as a SeCo query, plan it through the shared [`PlanCache`](seco_optimizer::PlanCache), execute against the warm shared state, open a session. |
 //! | `POST /session/{id}/more?n=N` | Next `N` ranked, undelivered combinations. |
 //! | `POST /session/{id}/rerank` | Body `w1,w2,…`: swap the ranking weights, keep the cursor. |
 //! | `POST /session/{id}/expand?atom=A&extra=N` | Deepen atom `A`'s fetches by `N` and union the new combinations in. |
 //! | `DELETE /session/{id}` | Close the session. |
 //! | `GET /stats` | Daemon counters (caches, admission, interner, tenants). |
 //! | `POST /admin/promote?threshold=R&min-samples=N` | Promote deviating observed statistics; rolls the epoch and invalidates cached plans. |
-//! | `POST /admin/shutdown` | Drain in-flight sessions, stop the speculation pool, exit the accept loop. |
+//! | `POST /admin/shutdown` | Drain in-flight queries, then stop the accept loop. |
 //!
 //! ## Streaming
 //!
 //! With `stream=1` the response is chunked; every chunk is one JSON
 //! frame. The first frame is `{"frame":"plan",…}` (with the plan-cache
 //! verdict), then `chunk` frames carry rows, and a final `summary`
-//! frame closes the stream. The two executors stream differently, on
-//! purpose:
+//! frame closes the stream. Rows are framed after execution as
+//! successive ranked slices pulled from the session cursor (`chunk`
+//! rows per frame), so the frames are the top-k in order and count as
+//! delivered.
 //!
-//! * `mode=det` (default) — deterministic executor; rows are framed
-//!   *after* execution as successive ranked slices pulled from the
-//!   session cursor (`chunk` rows per frame), so the frames are the
-//!   top-k in order and count as delivered.
-//! * `mode=par` — pipelined executor; `chunk` frames are pushed in
-//!   emission order **while tiles are still joining** (the §4.1
-//!   non-blocking dataflow), which is what time-to-first-chunk
-//!   measures. The session cursor is left untouched: ranked delivery
-//!   still starts at the top via `/more`.
+//! `mode=det` is accepted for compatibility with older clients; any
+//! other `mode` is refused with 400.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -38,16 +33,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use serde_json::json;
 
 use seco_engine::ResultSet;
-use seco_model::CompositeTuple;
 use seco_plan::PlanNode;
 use seco_query::parse_query;
 use seco_services::DeviationPolicy;
 
-use crate::http::{parse_request, respond_json, ChunkedWriter, Request};
+use crate::http::{
+    parse_request, respond_json, ChunkedWriter, Request, READ_TIMEOUT, WRITE_TIMEOUT,
+};
 use crate::session::{render_rows, Session};
 use crate::state::{Refusal, ServerState};
 
@@ -135,6 +130,8 @@ fn error(stream: &mut TcpStream, status: u16, message: &str) -> io::Result<()> {
 }
 
 fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> io::Result<()> {
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let Some(req) = parse_request(&stream)? else {
         return Ok(());
     };
@@ -162,12 +159,14 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> io::Res
 }
 
 fn handle_query(stream: &mut TcpStream, req: &Request, state: &Arc<ServerState>) -> io::Result<()> {
+    if let Some(mode) = req.param("mode").filter(|m| *m != "det") {
+        return error(stream, 400, &format!("unknown mode `{mode}` (only `det`)"));
+    }
     let tenant = req.param("tenant").unwrap_or("default").to_owned();
     let admission = match state.admit(&tenant) {
         Ok(a) => a,
         Err(r) => return refuse(stream, &r),
     };
-    let parallel = req.param("mode") == Some("par");
     let streaming = req.param("stream") == Some("1");
     let mut query = match parse_query(&req.body) {
         Ok(q) => q,
@@ -189,21 +188,13 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &Arc<ServerState>)
     });
 
     if streaming {
-        let writer = Mutex::new(ChunkedWriter::begin(stream, 200)?);
-        writer.lock().frame(&plan_frame.to_string())?;
-        let ranking = query.ranking.clone();
-        let emit = |batch: &[CompositeTuple]| {
-            let frame = json!({"frame": "chunk", "rows": render_rows(&ranking, batch)});
-            let _ = writer.lock().frame(&frame.to_string());
-        };
-        let sink: Option<seco_engine::BatchSink<'_>> = if parallel { Some(&emit) } else { None };
-        let (results, degraded, calls) = match state.execute(&best.plan, parallel, k, sink) {
+        let mut writer = ChunkedWriter::begin(stream, 200)?;
+        writer.frame(&plan_frame.to_string())?;
+        let (results, degraded, calls) = match state.execute(&best.plan, k) {
             Ok(out) => out,
             Err(e) => {
-                let _ = writer
-                    .lock()
-                    .frame(&json!({"frame": "error", "error": e}).to_string());
-                return writer.into_inner().finish();
+                let _ = writer.frame(&json!({"frame": "error", "error": e}).to_string());
+                return writer.finish();
             }
         };
         state.charge(&tenant, calls);
@@ -215,25 +206,21 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &Arc<ServerState>)
         });
         let mut delivered = 0usize;
         if let Ok(id) = session {
-            // Deterministic mode streams the ranked prefix from the
-            // session cursor; parallel mode already streamed emission
-            // order through the sink.
-            if !parallel {
-                while delivered < k {
-                    let Some(rows) = state.with_session(id, |s| s.next(chunk.min(k - delivered)))
-                    else {
-                        break;
-                    };
-                    if rows.is_empty() {
-                        break;
-                    }
-                    delivered += rows.len();
-                    let frame = json!({
-                        "frame": "chunk",
-                        "rows": render_rows(&query.ranking, &rows),
-                    });
-                    writer.lock().frame(&frame.to_string())?;
+            // Stream the ranked prefix from the session cursor.
+            while delivered < k {
+                let Some(rows) = state.with_session(id, |s| s.next(chunk.min(k - delivered)))
+                else {
+                    break;
+                };
+                if rows.is_empty() {
+                    break;
                 }
+                delivered += rows.len();
+                let frame = json!({
+                    "frame": "chunk",
+                    "rows": render_rows(&query.ranking, &rows),
+                });
+                writer.frame(&frame.to_string())?;
             }
         }
         let summary = json!({
@@ -243,11 +230,11 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &Arc<ServerState>)
             "delivered": delivered,
             "calls": calls,
         });
-        writer.lock().frame(&summary.to_string())?;
+        writer.frame(&summary.to_string())?;
         drop(admission);
-        writer.into_inner().finish()
+        writer.finish()
     } else {
-        let (results, degraded, calls) = match state.execute(&best.plan, parallel, k, None) {
+        let (results, degraded, calls) = match state.execute(&best.plan, k) {
             Ok(out) => out,
             Err(e) => return error(stream, 500, &e),
         };
@@ -371,7 +358,7 @@ fn handle_expand(
         Ok(PlanNode::Service(svc)) => svc.fetches += extra,
         _ => return error(stream, 500, "atom does not name a service node"),
     }
-    let (results, _, calls) = match state.execute(&plan, false, k, None) {
+    let (results, _, calls) = match state.execute(&plan, k) {
         Ok(out) => out,
         Err(e) => return error(stream, 500, &e),
     };

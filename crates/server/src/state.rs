@@ -3,7 +3,7 @@
 //!
 //! This is the tentpole inversion of the one-shot CLI: instead of
 //! building every cache from scratch per invocation, the daemon keeps
-//! [`SharedState`] (fetch caches, breaker state, the speculation pool),
+//! [`SharedState`] (fetch caches, breaker state, the executor pool),
 //! a [`PlanCache`] (optimized plans keyed by structural fingerprint ×
 //! statistics epoch), and the registry's adaptive accumulators alive
 //! across requests. The first session pays the cold cost; every later
@@ -26,9 +26,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use seco_engine::{
-    execute_parallel_session, execute_plan_shared, BatchSink, EngineConfig, SharedState,
-};
+use seco_engine::{execute_plan_shared, EngineConfig, SharedState};
 use seco_model::{CompositeTuple, Symbol};
 use seco_optimizer::{CostMetric, Optimized, Optimizer, PlanCache};
 use seco_plan::QueryPlan;
@@ -53,8 +51,8 @@ pub struct ServerConfig {
     /// Service-call budget per tenant (0 = unlimited).
     pub tenant_budget: u64,
     /// Worker threads of the shared executor pool: one work-stealing
-    /// pool per daemon runs every session's join morsels, optimizer
-    /// fan-out, and plan-node tasks. Fairness across sessions comes
+    /// pool per daemon runs every session's join morsels and optimizer
+    /// fan-out. Fairness across sessions comes
     /// from the admission gate (at most
     /// [`max_concurrent`](Self::max_concurrent) executions feed the
     /// pool) plus the pool's FIFO worker deques, filled round-robin —
@@ -224,32 +222,22 @@ impl ServerState {
         Ok((best, cached))
     }
 
-    /// Executes `plan` against the shared state. `sink`, when given and
-    /// `parallel`, receives emission-order batches as tiles join.
-    /// Returns `(results, degraded services, observed call delta)`.
+    /// Executes `plan` against the shared state. Returns `(results,
+    /// degraded services, observed call delta)`.
     pub fn execute(
         &self,
         plan: &QueryPlan,
-        parallel: bool,
         k: usize,
-        sink: Option<BatchSink<'_>>,
     ) -> Result<(Vec<CompositeTuple>, Vec<String>, u64), String> {
         let mut cfg = self.config.engine;
         if cfg.rank_join && cfg.join_k == 0 {
             cfg = cfg.join_k(k);
         }
         let before = self.registry.total_stats().calls;
-        let (results, degraded) = if parallel {
-            let out = execute_parallel_session(plan, &self.registry, cfg, Some(&self.shared), sink)
-                .map_err(|e| e.to_string())?;
-            (out.results, out.degraded)
-        } else {
-            let out = execute_plan_shared(plan, &self.registry, cfg, &self.shared)
-                .map_err(|e| e.to_string())?;
-            (out.results, out.degraded)
-        };
+        let out = execute_plan_shared(plan, &self.registry, cfg, &self.shared)
+            .map_err(|e| e.to_string())?;
         let calls = self.registry.total_stats().calls.saturating_sub(before);
-        Ok((results, degraded, calls))
+        Ok((out.results, out.degraded, calls))
     }
 
     /// Registers a session, allocating its id. Refuses when the table

@@ -5,12 +5,14 @@
 //! sessions return byte-identical rows to a serial one-shot engine
 //! run; a statistics promotion in one session's wake invalidates
 //! cached plans for every other session; admission control and tenant
-//! budgets refuse work deterministically; oversized request bodies are
-//! refused without taking the daemon down; and the streamed frame
-//! protocol plus the liquid-query continuations behave.
+//! budgets refuse work deterministically; oversized requests, removed
+//! query modes and silent connections are refused or closed without
+//! taking the daemon down; and the streamed frame protocol plus the
+//! liquid-query continuations behave.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use seco_engine::{execute_plan, EngineConfig, ResultSet};
 use seco_optimizer::{optimize, CostMetric};
@@ -292,6 +294,44 @@ fn oversized_headers_are_refused_before_allocation() {
     let mut response = String::new();
     conn.read_to_string(&mut response).expect("read response");
     assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+    // The daemon is still up and serving.
+    let (status, _) = http::call(&addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(status, 200);
+    stop(handle, &addr);
+}
+
+#[test]
+fn removed_modes_are_refused() {
+    let (handle, addr, text, k) = chain_server(ServerConfig::default());
+    let (status, body) =
+        http::call(&addr, "POST", &format!("/query?mode=par&k={k}"), &text).expect("mode=par");
+    assert_eq!(status, 400, "{body}");
+    // `det` (or no mode at all) is the one executor.
+    let (status, _) =
+        http::call(&addr, "POST", &format!("/query?mode=det&k={k}"), &text).expect("mode=det");
+    assert_eq!(status, 200);
+    let (status, _) = http::call(&addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(status, 200);
+    stop(handle, &addr);
+}
+
+#[test]
+fn silent_connections_are_closed_after_the_read_timeout() {
+    let (handle, addr, _, _) = chain_server(ServerConfig::default());
+    let margin = Duration::from_secs(5);
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    // Fail rather than hang should the daemon never close the socket.
+    conn.set_read_timeout(Some(http::READ_TIMEOUT + margin))
+        .expect("client read timeout");
+    let started = Instant::now();
+    let mut buf = [0u8; 64];
+    let read = conn.read(&mut buf);
+    let waited = started.elapsed();
+    assert!(
+        matches!(read, Ok(0)),
+        "expected the daemon to close the silent connection, got {read:?} after {waited:?}"
+    );
+    assert!(waited < http::READ_TIMEOUT + margin, "{waited:?}");
     // The daemon is still up and serving.
     let (status, _) = http::call(&addr, "GET", "/healthz", "").expect("healthz");
     assert_eq!(status, 200);

@@ -3,10 +3,8 @@
 //! The execution-time and bottleneck cost metrics (§5.1) are defined
 //! over elapsed wall-clock time of service calls. Real network latency
 //! would make experiments non-reproducible, so services *report* a
-//! simulated latency per request-response and executors accumulate it on
-//! a [`VirtualClock`]. The threaded executor in `seco-engine` can
-//! optionally also sleep for (a scaled-down fraction of) the simulated
-//! latency to exercise true pipelining.
+//! simulated latency per request-response and the executor accumulates
+//! it on a [`VirtualClock`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,7 +62,7 @@ impl LatencyModel {
 /// A monotone virtual clock counting simulated microseconds.
 ///
 /// Shared between executors and recorders via `Arc`; advancing is atomic
-/// so the threaded executor can account time from several workers.
+/// so concurrent daemon sessions can account time on one clock.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     micros: AtomicU64,

@@ -21,16 +21,14 @@
 //!   instantly (consuming **no** virtual time) until a cooldown passes,
 //!   after which one half-open probe decides whether to close again.
 //!
-//! Time is pluggable: in deterministic executions the client advances a
-//! shared [`VirtualClock`] (backoff and abandoned calls consume
-//! simulated milliseconds, so the cost metrics of §5.1 see resilience
-//! overhead); under the threaded executor a wall-clock mode really
-//! sleeps between attempts instead. All jitter derives from a seed, so
-//! identical seeds produce identical retry/backoff schedules.
+//! Time is virtual: the client advances a shared [`VirtualClock`]
+//! (backoff and abandoned calls consume simulated milliseconds, so the
+//! cost metrics of §5.1 see resilience overhead), and breaker cooldowns
+//! are measured on the same timeline. All jitter derives from a seed,
+//! so identical seeds produce identical retry/backoff schedules.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -57,7 +55,7 @@ pub struct ClientConfig {
     /// (0 disables the breaker entirely).
     pub breaker_threshold: u32,
     /// How long the breaker stays open before allowing a half-open
-    /// probe, in (virtual or wall) milliseconds.
+    /// probe, in virtual milliseconds.
     pub breaker_cooldown_ms: f64,
     /// Seed of the deterministic backoff jitter.
     pub seed: u64,
@@ -92,42 +90,6 @@ impl ClientConfig {
     }
 }
 
-/// Where the client takes time from.
-#[derive(Debug, Clone)]
-enum ClockSource {
-    /// Deterministic simulated time shared with the executor.
-    Virtual(Arc<VirtualClock>),
-    /// Real time measured from client construction; pauses really sleep.
-    Wall(Instant),
-}
-
-impl ClockSource {
-    fn now_ms(&self) -> f64 {
-        match self {
-            ClockSource::Virtual(clock) => clock.now_ms(),
-            ClockSource::Wall(t0) => t0.elapsed().as_secs_f64() * 1000.0,
-        }
-    }
-
-    /// Accounts simulated time that already passed (a call's reported
-    /// latency). Wall time passes by itself, so wall mode is a no-op.
-    fn account_ms(&self, ms: f64) {
-        if let ClockSource::Virtual(clock) = self {
-            clock.advance_ms(ms);
-        }
-    }
-
-    /// Actively waits (backoff): virtual clocks jump, wall mode sleeps.
-    fn pause_ms(&self, ms: f64) {
-        match self {
-            ClockSource::Virtual(clock) => {
-                clock.advance_ms(ms);
-            }
-            ClockSource::Wall(_) => std::thread::sleep(Duration::from_secs_f64(ms / 1000.0)),
-        }
-    }
-}
-
 /// Circuit-breaker state machine (closed → open → half-open → …).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum BreakerState {
@@ -143,7 +105,6 @@ pub struct ServiceClientBuilder {
     recorder: Option<Arc<CallRecorder>>,
     config: ClientConfig,
     clock: Option<Arc<VirtualClock>>,
-    wall: bool,
 }
 
 impl ServiceClientBuilder {
@@ -191,32 +152,20 @@ impl ServiceClientBuilder {
         self
     }
 
-    /// Shares a virtual clock with the executor (deterministic mode).
+    /// Shares a virtual clock with the executor (a private one is
+    /// created otherwise).
     pub fn virtual_clock(mut self, clock: Arc<VirtualClock>) -> Self {
         self.clock = Some(clock);
-        self.wall = false;
-        self
-    }
-
-    /// Uses wall-clock time: backoff really sleeps, the breaker cooldown
-    /// is measured in real milliseconds. For the threaded executor.
-    pub fn wall_clock(mut self) -> Self {
-        self.wall = true;
         self
     }
 
     /// Finishes the builder.
     pub fn build(self) -> ServiceClient {
-        let clock = if self.wall {
-            ClockSource::Wall(Instant::now())
-        } else {
-            ClockSource::Virtual(self.clock.unwrap_or_default())
-        };
         ServiceClient {
             inner: self.inner,
             recorder: self.recorder,
             config: self.config,
-            clock,
+            clock: self.clock.unwrap_or_default(),
             breaker: Mutex::new(BreakerState::Closed {
                 consecutive_failures: 0,
             }),
@@ -253,7 +202,7 @@ pub struct ServiceClient {
     inner: Arc<dyn Service>,
     recorder: Option<Arc<CallRecorder>>,
     config: ClientConfig,
-    clock: ClockSource,
+    clock: Arc<VirtualClock>,
     breaker: Mutex<BreakerState>,
     /// Client-wide retry ordinal feeding the jitter, so consecutive
     /// retries (even across calls) draw distinct deterministic delays.
@@ -268,7 +217,6 @@ impl ServiceClient {
             recorder: None,
             config: ClientConfig::default(),
             clock: None,
-            wall: false,
         }
     }
 
@@ -281,21 +229,12 @@ impl ServiceClient {
             recorder: Some(recorder),
             config: ClientConfig::default(),
             clock: None,
-            wall: false,
         }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &ClientConfig {
         &self.config
-    }
-
-    /// The shared virtual clock, when running in virtual-time mode.
-    pub fn virtual_clock(&self) -> Option<Arc<VirtualClock>> {
-        match &self.clock {
-            ClockSource::Virtual(clock) => Some(clock.clone()),
-            ClockSource::Wall(_) => None,
-        }
     }
 
     /// Whether the breaker currently refuses calls (ignoring cooldown
@@ -379,7 +318,7 @@ impl ServiceClient {
         let response = self.inner.fetch(request)?;
         if let Some(deadline) = self.config.deadline_ms {
             if response.elapsed_ms > deadline {
-                self.clock.account_ms(deadline);
+                self.clock.advance_ms(deadline);
                 if let Some(rec) = &self.recorder {
                     rec.note_timeout();
                 }
@@ -389,7 +328,7 @@ impl ServiceClient {
                 });
             }
         }
-        self.clock.account_ms(response.elapsed_ms);
+        self.clock.advance_ms(response.elapsed_ms);
         Ok(response)
     }
 
@@ -437,7 +376,7 @@ impl Service for ServiceClient {
                 Err(error) if error.is_transient() && attempt < self.config.retries => {
                     let sequence = self.backoff_seq.fetch_add(1, Ordering::Relaxed);
                     self.clock
-                        .pause_ms(self.config.backoff_delay_ms(attempt, sequence));
+                        .advance_ms(self.config.backoff_delay_ms(attempt, sequence));
                     if let Some(rec) = &self.recorder {
                         rec.note_retry();
                     }
@@ -704,18 +643,5 @@ mod tests {
         // avg_cardinality 25, chunk 10 → chunks of 10/10/5 then stop.
         assert_eq!(tuples.len(), 25);
         assert_eq!(calls, 3, "has_more=false must stop fetching");
-    }
-
-    #[test]
-    fn wall_clock_mode_enforces_deadlines_and_sleeps_backoff() {
-        let rec = CallRecorder::new(FlakyFirst::new(40.0, 1));
-        let client = ServiceClient::for_recorded(rec.clone())
-            .retries(1)
-            .backoff_ms(1.0)
-            .wall_clock()
-            .build();
-        assert!(client.virtual_clock().is_none());
-        assert!(client.fetch(&req()).is_ok());
-        assert_eq!(rec.stats().retries, 1);
     }
 }

@@ -3,8 +3,7 @@
 //! Builds the chapter's example plan (exact proliferative Conference,
 //! Weather made selective in context by the `AvgTemp > 26` condition,
 //! Flight and Hotel joined by merge-scan), annotates it (Fig. 3), and
-//! executes it both deterministically and with the pipelined
-//! multi-threaded executor.
+//! executes it under virtual-time accounting.
 //!
 //! Run with: `cargo run --example conference_trip`
 
@@ -79,13 +78,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.critical_ms
     );
     println!("{}", outcome.trace);
-
-    // Pipelined execution on real threads.
-    let parallel = execute_parallel(&plan, &registry, EngineConfig::default().join_k(10))?;
-    println!(
-        "pipelined executor: {} combinations (same set)",
-        parallel.len()
-    );
 
     for combo in outcome.results.iter().take(5) {
         println!("  {combo}");

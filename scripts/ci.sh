@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local CI gate: release build, workspace tests, lints, formatting,
-# the perfbench build, and the bench smoke gates.
+# Full local CI gate: release build, workspace tests, the pinned repro
+# transcript, lints, formatting, the perfbench build, and the bench
+# smoke gates.
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,6 +13,11 @@ cargo build --release
 # (exec pool, recorder, cache, server).
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+# The experiments are deterministic: repro's stdout must match the
+# committed transcript byte for byte.
+echo "==> repro (stdout pinned to repro_output.txt)"
+cargo run --release -q -p seco-bench --bin repro | diff repro_output.txt -
 
 # --all-targets: tests, benches, and examples are linted too.
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"

@@ -4,8 +4,7 @@
 //! seco services  [--domain entertainment|travel] [--seed N]
 //! seco explain   [--domain D] [--metric M] [--seed N] [--workers N] <query…>
 //! seco optimize  [--domain D] [--metric M] [--seed N] [--workers N] <query…>
-//! seco run       [--domain D] [--metric M] [--seed N] [--parallel]
-//!                [--exec-workers N]
+//! seco run       [--domain D] [--metric M] [--seed N] [--exec-workers N]
 //!                [--fault-profile none|flaky|outage] [--deadline-ms N]
 //!                [--cache-shards N] [--rank-join]
 //!                [--adaptive] [--adaptive-threshold N] <query…>
@@ -109,7 +108,6 @@ struct Args {
     domain: String,
     metric: CostMetric,
     seed: u64,
-    parallel: bool,
     fault_profile: String,
     deadline_ms: Option<f64>,
     cache_shards: usize,
@@ -134,7 +132,6 @@ fn parse_args() -> Result<Args, String> {
     let mut domain = "entertainment".to_owned();
     let mut metric = CostMetric::RequestCount;
     let mut seed = 42u64;
-    let mut parallel = false;
     let mut fault_profile = "none".to_owned();
     let mut deadline_ms = None;
     let mut cache_shards = defaults.fetch.cache_shards;
@@ -176,7 +173,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
-            "--parallel" => parallel = true,
             "--rank-join" => rank_join = true,
             "--adaptive" => adaptive = true,
             "--adaptive-threshold" => {
@@ -258,7 +254,6 @@ fn parse_args() -> Result<Args, String> {
         domain,
         metric,
         seed,
-        parallel,
         fault_profile,
         deadline_ms,
         cache_shards,
@@ -279,7 +274,7 @@ fn usage() -> String {
     "usage: seco <services|explain|optimize|run|stats|oracle|serve> \
      [--domain entertainment|travel] \
      [--metric execution-time|sum|request-count|bottleneck|time-to-screen] \
-     [--seed N] [--workers N] [--exec-workers N] [--parallel] \
+     [--seed N] [--workers N] [--exec-workers N] \
      [--fault-profile none|flaky|outage] \
      [--deadline-ms N] [--cache-shards N] \
      [--rank-join] [--adaptive] [--adaptive-threshold N] \
@@ -373,7 +368,6 @@ fn cmd_explain(
 fn cmd_run(
     registry: &ServiceRegistry,
     metric: CostMetric,
-    parallel: bool,
     opts: EngineConfig,
     query_src: &str,
 ) -> Result<(), String> {
@@ -386,31 +380,13 @@ fn cmd_run(
     }
     let best = optimize(&query, registry, metric).map_err(|e| e.to_string())?;
     registry.reset_stats();
-    let (results, degraded, join_stats, replans, replanned) = if parallel {
-        let out = execute_parallel_with(&best.plan, registry, opts).map_err(|e| e.to_string())?;
-        let replans = usize::from(out.replanned.is_some());
-        (
-            out.results,
-            out.degraded,
-            out.join_stats,
-            replans,
-            out.replanned,
-        )
-    } else {
-        let out = execute_plan(&best.plan, registry, opts).map_err(|e| e.to_string())?;
-        println!(
-            "{} request-responses, {:.0} virtual ms critical path",
-            out.total_calls, out.critical_ms
-        );
-        (
-            out.results,
-            out.degraded,
-            out.join_stats,
-            out.replans,
-            out.replanned,
-        )
-    };
-    let set = ResultSet::new(results, query.ranking.clone()).with_degraded(degraded);
+    let out = execute_plan(&best.plan, registry, opts).map_err(|e| e.to_string())?;
+    println!(
+        "{} request-responses, {:.0} virtual ms critical path",
+        out.total_calls, out.critical_ms
+    );
+    let join_stats = out.join_stats;
+    let set = ResultSet::new(out.results, query.ranking.clone()).with_degraded(out.degraded);
     println!("{} combinations; top {}:", set.len(), query.k);
     for (i, combo) in set.top_k(query.k).iter().enumerate() {
         println!(
@@ -460,9 +436,9 @@ fn cmd_run(
     if opts.adaptive {
         println!(
             "adaptive: {} replan(s), {} epoch invalidation(s), final plan {}",
-            replans,
+            out.replans,
             registry.epoch_invalidations(),
-            match &replanned {
+            match &out.replanned {
                 Some(plan) => format!("switched to {}", plan.canonical_key()),
                 None => "unchanged".to_owned(),
             }
@@ -654,7 +630,7 @@ fn main() -> ExitCode {
         }
         "explain" => cmd_explain(&registry, args.metric, args.workers, true, &args.query),
         "optimize" => cmd_explain(&registry, args.metric, args.workers, false, &args.query),
-        "run" => cmd_run(&registry, args.metric, args.parallel, opts, &args.query),
+        "run" => cmd_run(&registry, args.metric, opts, &args.query),
         "stats" => cmd_stats(&registry, args.metric, opts, &args.query),
         "oracle" => cmd_oracle(&registry, &args.query),
         "serve" => cmd_serve(registry, &args, opts),

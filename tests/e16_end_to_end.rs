@@ -1,4 +1,4 @@
-//! E16: end-to-end soundness — optimized plans, both executors, and the
+//! E16: end-to-end soundness — optimized plans, the executor, and the
 //! declarative oracle agree.
 
 use search_computing::prelude::*;
@@ -50,22 +50,6 @@ fn travel_query_engine_is_sound_wrt_oracle() {
     assert!(!outcome.results.is_empty());
     for combo in &outcome.results {
         assert!(oracle.iter().any(|o| same_answer(&query, o, combo)));
-    }
-}
-
-#[test]
-fn parallel_and_sequential_executors_agree() {
-    let registry = entertainment::build_registry(21).unwrap();
-    let query = running_example();
-    let best = optimize(&query, &registry, CostMetric::RequestCount).unwrap();
-    let sequential = execute_plan(&best.plan, &registry, EngineConfig::default()).unwrap();
-    let parallel = execute_parallel(&best.plan, &registry, EngineConfig::default()).unwrap();
-    assert_eq!(sequential.results.len(), parallel.len());
-    for combo in &parallel {
-        assert!(sequential
-            .results
-            .iter()
-            .any(|s| same_answer(&query, s, combo)));
     }
 }
 

@@ -1,16 +1,14 @@
 //! Morsel-executor determinism, end to end.
 //!
 //! The scheduler contract is byte-identity: at any `--exec-workers`
-//! count, both executors must produce exactly the output of the serial
+//! count, the executor must produce exactly the output of the serial
 //! path — same tuples, same order, same join counters — because tile
 //! decomposition only fans out each tile's row loop and a deterministic
-//! ordered reducer stitches the segments back in row order. And since
-//! both executors run the same node operators at the same plan-derived
-//! join shape, the pipelined executor must return exactly the
-//! deterministic executor's rows, in the same order. These tests pin
-//! both contracts on the two flagship experiments (E1's travel plan and
-//! E10's running example) and on seeded 3-atom stars and chains, and
-//! prove that no pool thread outlives the [`SharedState`] that owns it.
+//! ordered reducer stitches the segments back in row order. These
+//! tests pin the contract on the two flagship experiments (E1's travel
+//! plan and E10's running example) and on seeded 3-atom stars and
+//! chains, and prove that no pool thread outlives the [`SharedState`]
+//! that owns it.
 
 use search_computing::prelude::*;
 use search_computing::query::builder::running_example;
@@ -34,41 +32,26 @@ fn e1_query() -> Query {
         .unwrap()
 }
 
-/// Runs `query` through both executors at each worker count, with
-/// parallel joins stopping after `join_k` results (0 = no limit), and
-/// asserts every output is byte-identical to the deterministic serial
-/// (`workers=1`) reference — results, degradations, and join counters
-/// alike, the pipelined executor's results included.
+/// Runs `query` at each worker count, with parallel joins stopping
+/// after `join_k` results (0 = no limit), and asserts every output is
+/// byte-identical to the serial (`workers=1`) reference — results and
+/// join counters alike.
 fn assert_identical_across_workers(registry: &ServiceRegistry, query: &Query, join_k: usize) {
     let best = optimize(query, registry, CostMetric::RequestCount).unwrap();
     let config = |w: usize| EngineConfig::default().exec_workers(w).join_k(join_k);
 
-    let det_ref = execute_plan(&best.plan, registry, config(1)).unwrap();
-    let par_ref = execute_parallel_with(&best.plan, registry, config(1)).unwrap();
-    assert!(!det_ref.results.is_empty(), "reference run must answer");
-    assert_eq!(
-        par_ref.results, det_ref.results,
-        "the executors disagree at join_k={join_k}"
-    );
+    let reference = execute_plan(&best.plan, registry, config(1)).unwrap();
+    assert!(!reference.results.is_empty(), "reference run must answer");
 
     for workers in [2usize, 8] {
-        let det = execute_plan(&best.plan, registry, config(workers)).unwrap();
+        let out = execute_plan(&best.plan, registry, config(workers)).unwrap();
         assert_eq!(
-            det.results, det_ref.results,
-            "deterministic executor diverged at {workers} workers"
+            out.results, reference.results,
+            "results diverged at {workers} workers"
         );
         assert_eq!(
-            det.join_stats, det_ref.join_stats,
-            "deterministic join counters diverged at {workers} workers"
-        );
-        let par = execute_parallel_with(&best.plan, registry, config(workers)).unwrap();
-        assert_eq!(
-            par.results, par_ref.results,
-            "pipelined executor diverged at {workers} workers"
-        );
-        assert_eq!(
-            par.join_stats, par_ref.join_stats,
-            "pipelined join counters diverged at {workers} workers"
+            out.join_stats, reference.join_stats,
+            "join counters diverged at {workers} workers"
         );
     }
 }
@@ -86,7 +69,7 @@ fn e10_running_example_is_byte_identical_across_exec_workers() {
 }
 
 #[test]
-fn seeded_stars_are_byte_identical_across_executors_and_workers() {
+fn seeded_stars_are_byte_identical_across_workers() {
     for seed in [1, 5, 42] {
         for join_k in [0, 10] {
             let (registry, query) = star_scenario(3, seed);
@@ -96,7 +79,7 @@ fn seeded_stars_are_byte_identical_across_executors_and_workers() {
 }
 
 #[test]
-fn seeded_chains_are_byte_identical_across_executors_and_workers() {
+fn seeded_chains_are_byte_identical_across_workers() {
     for seed in [1, 5, 42] {
         for join_k in [0, 10] {
             let (registry, query) = chain_scenario(3, seed);
@@ -107,26 +90,27 @@ fn seeded_chains_are_byte_identical_across_executors_and_workers() {
 
 #[test]
 fn no_worker_threads_outlive_shared_state_shutdown() {
-    let registry = entertainment::build_registry(1).unwrap();
-    let query = running_example();
-    let best = optimize(&query, &registry, CostMetric::RequestCount).unwrap();
+    let (registry, query) = star_scenario(3, 1);
     let shared = SharedState::for_daemon(4);
     let pool = shared
         .exec_pool()
         .expect("daemon state owns a pool")
         .clone();
     assert_eq!(pool.threads_alive(), 4);
-    // A full pipelined session exercises both pool tiers: plan-node
-    // tasks on the blocking tier, morsels on the compute tier.
+    // Plan and execute as the daemon does: the planner's topology
+    // fan-out runs as morsels on the shared pool, and the executor's
+    // join kernels get the same pool (the star's 4x4 tiles stay below
+    // the kernel's morsel threshold, so they join serially).
+    let mut optimizer = Optimizer::new(&registry, CostMetric::RequestCount);
+    optimizer.workers = 4;
+    optimizer.pool = Some(pool.clone());
+    let best = optimizer.optimize(&query).unwrap();
     let opts = EngineConfig::default().exec_workers(4).cache_shards(4);
-    let out = execute_parallel_session(&best.plan, &registry, opts, Some(&shared), None).unwrap();
+    let out = execute_plan_shared(&best.plan, &registry, opts, &shared).unwrap();
     assert!(!out.results.is_empty());
+    assert!(pool.stats().morsels > 0, "the pool ran work");
     shared.shutdown();
-    assert_eq!(
-        pool.threads_alive(),
-        0,
-        "compute and blocking tiers must both join on shutdown"
-    );
+    assert_eq!(pool.threads_alive(), 0, "every worker joins on shutdown");
     // Idempotent: a second shutdown (or the drop) is a no-op.
     shared.shutdown();
     assert_eq!(pool.threads_alive(), 0);
